@@ -11,26 +11,28 @@ import sys
 
 from .betaset import ideal_to_partition
 from .posets import (FamilyId, InvalidFamilyError, NonCoprimeError,
-                     family_poset, gap_poset, order_ideals, to_dot)
+                     gap_poset, order_ideals, to_dot)
 from .series import check_identities, cross_check
-from .stats import (DEFAULT_MAX_POSET_SIZE, EnumerationTooLargeError,
+from .stats import (DEFAULT_MAX_POSET_SIZE, EnumerationTooLargeError, _guard,
                     average_size_check, compute_stats, is_slope_pair,
                     verify_stat_recursions)
 
 MAX_ORDER = 24
 
 
-def _poset_limit(args):
-    return None if args.unsafe_limits else DEFAULT_MAX_POSET_SIZE
+def _limit(args, guard=DEFAULT_MAX_POSET_SIZE):
+    """The guard to enforce: `guard`, or none under --unsafe-limits."""
+    return None if args.unsafe_limits else guard
 
 
-def _check_order(args):
-    if args.order > MAX_ORDER and not args.unsafe_limits:
-        raise EnumerationTooLargeError(
-            f"order {args.order} is above the guard of {MAX_ORDER}; "
-            "pass --unsafe-limits to override")
-    if args.order < 3:
-        raise ValueError("order must be >= 3")
+def _int_at_least(low):
+    """An argparse type for integers no smaller than `low`."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _write_csv(header, rows):
@@ -40,7 +42,7 @@ def _write_csv(header, rows):
 
 
 def _cmd_cores(args):
-    check = average_size_check(args.a, args.b, max_poset_size=_poset_limit(args))
+    check = average_size_check(args.a, args.b, max_poset_size=_limit(args))
     poset = gap_poset(args.a, args.b)
     cores = sorted((ideal_to_partition(members) for members in order_ideals(poset)),
                    key=lambda p: (sum(p), tuple(-q for q in p)))
@@ -72,10 +74,8 @@ def _cmd_cores(args):
 
 def _cmd_poset(args):
     poset = gap_poset(args.a, args.b)
-    if len(poset) > DEFAULT_MAX_POSET_SIZE and not args.unsafe_limits:
-        raise EnumerationTooLargeError(
-            f"gap poset of ({args.a}, {args.b}) has {len(poset)} elements, "
-            f"above the guard of {DEFAULT_MAX_POSET_SIZE}")
+    _guard(len(poset), _limit(args),
+           f"the size of the gap poset of ({args.a}, {args.b})")
     if args.format == "dot":
         print(to_dot(poset))
     elif args.format == "json":
@@ -90,16 +90,10 @@ def _cmd_poset(args):
 
 
 def _cmd_stats(args):
-    limit = _poset_limit(args)
     rows = []
     for j in range(args.m):
         for n in range(args.max_n + 1):
-            fid = FamilyId(args.m, j, n)
-            if limit is not None and len(family_poset(fid)) > limit:
-                raise EnumerationTooLargeError(
-                    f"poset {fid} has {len(family_poset(fid))} elements, "
-                    f"above the guard of {limit}")
-            rec = compute_stats(fid, limit)
+            rec = compute_stats(FamilyId(args.m, j, n), _limit(args))
             rows.append({"m": args.m, "j": j, "n": n,
                          "ideal_count": rec.ideal_count,
                          "member_sum": rec.member_sum,
@@ -133,7 +127,7 @@ def _report(rows, args, plain):
 
 def _cmd_recursions(args):
     checks = verify_stat_recursions(args.m, args.max_n,
-                                    max_poset_size=_poset_limit(args))
+                                    max_poset_size=_limit(args))
     rows = [{"name": c.name, "m": c.m, "n": c.n, "lhs": c.lhs, "rhs": c.rhs,
              "pass": c.passed} for c in checks]
     return _report(rows, args,
@@ -143,7 +137,7 @@ def _cmd_recursions(args):
 
 
 def _cmd_series_verify(args):
-    _check_order(args)
+    _guard(args.order, _limit(args, MAX_ORDER), "the series order")
     checks = check_identities(args.m, args.order)
     rows = [{"identity_name": c.identity, "m": c.m,
              "effective_order": c.effective_order,
@@ -156,7 +150,7 @@ def _cmd_series_verify(args):
 
 
 def _cmd_cross_check(args):
-    checks = cross_check(args.m, args.max_n)
+    checks = cross_check(args.m, args.max_n, max_poset_size=_limit(args))
     rows = [{"m": c.m, "j": c.j, "n": c.n, "statistic": c.statistic,
              "series_value": c.series_value,
              "enumerated_value": c.enumerated_value,
@@ -179,6 +173,11 @@ def build_parser():
         p.add_argument("--unsafe-limits", action="store_true",
                        help="lift the enumeration and order guards")
 
+    def grid(p):
+        p.add_argument("--m", type=_int_at_least(1), required=True)
+        p.add_argument("--max-n", type=_int_at_least(0), required=True)
+        common(p)
+
     p = sub.add_parser("cores", help="enumerate all cores of a coprime pair "
                                      "and check the average-size formula")
     p.add_argument("--a", type=int, required=True)
@@ -196,16 +195,12 @@ def build_parser():
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("stats", help="statistic totals on the (m, j, n) grid")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    grid(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("recursions", help="verify the convolution recursions "
                                           "against enumeration")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    grid(p)
     p.set_defaults(func=_cmd_recursions)
 
     p = sub.add_parser("series-verify", help="verify the power-series "
@@ -217,9 +212,7 @@ def build_parser():
 
     p = sub.add_parser("cross-check", help="series coefficients against "
                                            "brute-force enumeration")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    grid(p)
     p.set_defaults(func=_cmd_cross_check)
     return parser
 
@@ -228,8 +221,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NonCoprimeError, InvalidFamilyError, EnumerationTooLargeError,
-            ValueError) as exc:
+    except EnumerationTooLargeError as exc:
+        print(f"error: {exc}; pass --unsafe-limits to override", file=sys.stderr)
+        return 2
+    except (NonCoprimeError, InvalidFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,12 @@ from fractions import Fraction
 from math import comb
 
 from .posets import FamilyId
-from .stats import compute_stats
+from .stats import DEFAULT_MAX_POSET_SIZE, compute_stats
+
+# The lowest ledger order at which every entry, the triple-derivative ones
+# included, reaches an effective order of at least 1; below it an entry
+# could pass with nothing verified.
+MIN_LEDGER_ORDER = 4
 
 
 class DivisionByNonUnitError(ZeroDivisionError):
@@ -279,7 +284,12 @@ def stat_series(m: int, order: int) -> SeriesBundle:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of one exact residual evaluation."""
+    """Outcome of one ledger entry.
+
+    `kind` is "derived" when a residual was evaluated, and "definitional"
+    when the identity is the formula `stat_series` builds the series from,
+    so it holds by construction and only its order is reported.
+    """
 
     identity: str
     m: int
@@ -287,19 +297,21 @@ class IdentityCheck:
     residual_max_abs: Fraction
     first_nonzero: int | None
     passed: bool
+    kind: str
 
 
 def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     """Evaluate the full ledger of generating-function identities at slope m.
 
-    Each entry subtracts the two sides of one identity as truncated series;
-    the entry passes only when the residual is identically zero through its
-    effective order.  Identities whose index families are empty at this m
-    are omitted rather than trivialized.
+    Each derived entry subtracts the two sides of one identity as truncated
+    series; it passes only when the residual is identically zero through its
+    effective order.  Definitional entries name the formulas `stat_series`
+    builds its series from.  Identities whose index families are empty at
+    this m are omitted rather than trivialized.
     """
-    if m < 1 or order < 2:
-        raise ValueError("need m >= 1 and order >= 2")
-    b = stat_series(m, max(order, 3))
+    if m < 1 or order < MIN_LEDGER_ORDER:
+        raise ValueError(f"need m >= 1 and order >= {MIN_LEDGER_ORDER}")
+    b = stat_series(m, order)
     F = b.count
     Fp = F.derivative()
     Fpp = Fp.derivative()
@@ -309,16 +321,22 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     zero = constant(0, order)
     denom = unit - (m + 1) * (F ** m).shift(1)
 
-    named: list[tuple[str, TruncatedSeries]] = []
+    out: list[IdentityCheck] = []
 
     def add(name, residual):
-        named.append((name, residual))
+        nz = residual.first_nonzero()
+        out.append(IdentityCheck(name, m, residual.order, residual.max_abs(),
+                                 nz, nz is None, "derived"))
+
+    def built(name, defined):
+        out.append(IdentityCheck(name, m, defined.order, Fraction(0),
+                                 None, True, "definitional"))
 
     add("defining-equation", (F ** (m + 1)).shift(1) - F + 1)
     add("closed-form-count",
         F - series([fuss_catalan_number(m, n) for n in range(order + 1)]))
     for j in range(1, m):
-        add(f"trimmed-count-power[j={j}]", b.count_trimmed[j] - F ** (m - j + 1))
+        built(f"trimmed-count-power[j={j}]", b.count_trimmed[j])
 
     add("first-derivative", Fp * denom - F ** (m + 1))
     add("second-derivative",
@@ -336,30 +354,12 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
             - 2 * (m + 1) * (Fp * F ** (2 * m + 1)).shift(1)
             + 2 * (m + 1) * F ** (2 * m + 2)))
 
-    add("member-bottom-closed-form",
-        T[0] - comb(m + 1, 2) * (Fp * Fp).shift(2) / F)
-    add("layer-bottom-closed-form",
-        R[0] - (comb(m + 1, 2) * (Fp * T[0]).shift(1)
-                + comb(m + 1, 3) * (Fp * Fp).shift(2)) / F)
-    add("size-bottom-closed-form",
-        G[0] - ((m + 1) * (F ** m * R[0]).shift(1)
-                + (m * m + m) * (Fp * F ** (m - 1) * R[0]).shift(2)
-                + comb(m + 2, 2) * (F ** m * T[0]).shift(1)
-                + comb(m + 1, 2) * (Fp * F ** (m - 1) * T[0]).shift(2)
-                + comb(m + 2, 3) * (Fp * F ** m).shift(2)
-                + comb(m + 2, 4) * (Fp * Fp * F ** (m - 1)).shift(3)
-                - comb(m + 1, 2) * (F ** (m - 1) * T[0] * T[0]).shift(1)) / denom)
-
+    built("member-bottom-closed-form", T[0])
+    built("layer-bottom-closed-form", R[0])
+    built("size-bottom-closed-form", G[0])
     for j in range(1, m):
-        p = m - j
-        add(f"member-closed-form[j={j}]",
-            T[j] - ((m + 1 - j) * F ** p * T[0]
-                    + comb(m + 1 - j, 2) * (Fp * F ** p).shift(1)))
-        add(f"layer-closed-form[j={j}]",
-            R[j] - ((m - j + 1) * F ** p * R[0]
-                    + Fraction((m - j + 1) * (m + j), 2) * F ** p * T[0]
-                    + Fraction(m + 2 * j - 1, 3) * comb(m - j + 1, 2)
-                    * (Fp * F ** p).shift(1)))
+        built(f"member-closed-form[j={j}]", T[j])
+        built(f"layer-closed-form[j={j}]", R[j])
 
     tsum = zero
     tdsum = zero
@@ -410,28 +410,9 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
                     + m * (Fp * F ** (m - 1) * R[0]).shift(2)
                     + (F ** m * T[0]).shift(1) + m * (Fp * F ** m).shift(2)
                     - (T[0] * T[1]).shift(1)))
-        add("size-top-relation",
-            G[m - 1] - (2 * F * G[0] + 2 * (Fp * R[0]).shift(1) + 2 * F * R[0]
-                        + (2 * m + 1) * F * T[0] + (2 * m - 1) * (Fp * T[0]).shift(1)
-                        + (2 * m - 2) * (F * T[0].derivative()).shift(1)
-                        + (2 * m - 1) * (Fp * F).shift(1)
-                        + (m - 1) * (Fpp * F).shift(2)
-                        + (m - 1) * (Fp * Fp).shift(2)
-                        - T[0] * T[0]))
+        built("size-top-relation", G[m - 1])
         for j in range(1, m - 1):
-            q = m - j
-            add(f"size-step-relation[j={j}]",
-                G[j] - (F * G[j + 1] + (Fp * R[j + 1]).shift(1)
-                        - (F * T[j + 1].derivative()).shift(1)
-                        + F ** q * G[0] + F ** q * R[0]
-                        + (m - j) * (Fp * F ** (q - 1) * R[0]).shift(1)
-                        + (j + 1) * F ** q * T[0]
-                        + j * (m - j) * (Fp * F ** (q - 1) * T[0]).shift(1)
-                        + j * (F ** q * T[0].derivative()).shift(1)
-                        + (2 * j + 1) * (m - j) * (Fp * F ** q).shift(1)
-                        + j * (m - j) * (Fpp * F ** q).shift(2)
-                        + j * (m - j) ** 2 * (Fp * Fp * F ** (q - 1)).shift(2)
-                        - T[0] * T[j + 1]))
+            built(f"size-step-relation[j={j}]", G[j])
 
     add("average-size-identity",
         m * (m + 1) * Fppp.shift(3) + m * (2 * m + 4) * Fpp.shift(2) - 24 * G[0])
@@ -481,11 +462,6 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
                 + F * Fpp - 6 * (F ** 5 * Fp).shift(1) + 10 * F ** 3 * Fp
                 + 2 * (F * F * Fp * Fp).shift(1) + 2 * Fp * Fp + 6 * F ** 6))
 
-    out = []
-    for name, residual in named:
-        nz = residual.first_nonzero()
-        out.append(IdentityCheck(name, m, residual.order, residual.max_abs(),
-                                 nz, nz is None))
     return out
 
 
@@ -503,7 +479,9 @@ class CrossCheck:
 
 
 def cross_check(m: int, n_max: int, j: int | None = None,
-                order: int | None = None) -> list[CrossCheck]:
+                order: int | None = None,
+                max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE
+                ) -> list[CrossCheck]:
     """Compare series coefficients with enumeration, statistic by statistic.
 
     The two sides are computed by unrelated code paths (a fixed-point series
@@ -517,7 +495,7 @@ def cross_check(m: int, n_max: int, j: int | None = None,
     for jj in range(m) if j is None else (j,):
         counts = bundle.count if jj == 0 else bundle.count_trimmed[jj]
         for n in range(n_max + 1):
-            rec = compute_stats(FamilyId(m, jj, n))
+            rec = compute_stats(FamilyId(m, jj, n), max_poset_size)
             rows = (("count", counts, rec.ideal_count),
                     ("member", bundle.member[jj], rec.member_sum),
                     ("layer", bundle.layer[jj], rec.layer_sum),

@@ -9,8 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .posets import (FamilyId, NonCoprimeError, _bit_indices, _ideal_masks,
-                     family_poset, gap_poset)
+from .posets import (FamilyId, NonCoprimeError, _ideal_masks, family_poset,
+                     gap_poset)
 
 DEFAULT_MAX_POSET_SIZE = 60
 
@@ -20,9 +20,32 @@ class EnumerationTooLargeError(RuntimeError):
 
 
 def _guard(size: int, limit: int | None, what: str) -> None:
+    """Raise when `size` exceeds `limit`; a limit of None lifts the guard."""
     if limit is not None and size > limit:
         raise EnumerationTooLargeError(
-            f"{what} has {size} elements, above the enumeration guard of {limit}")
+            f"{what} is {size}, above the guard of {limit}")
+
+
+def _ideal_totals(poset) -> tuple[int, list[int], int]:
+    """One pass over every order ideal of `poset`.
+
+    Returns the ideal count, how many ideals contain each element (by
+    element index), and the total core size, which is the sum over ideals
+    of `sum(members) - C(r, 2)` for an ideal of r members.
+    """
+    occupancy = [0] * len(poset)
+    count = pairs = 0
+    for mask in _ideal_masks(poset):
+        r = mask.bit_count()
+        count += 1
+        pairs += r * (r - 1) // 2
+        # walked inline: a generator per mask would cost more than the body
+        while mask:
+            low = mask & -mask
+            occupancy[low.bit_length() - 1] += 1
+            mask ^= low
+    size_total = sum(k * e for k, e in zip(occupancy, poset.elements)) - pairs
+    return count, occupancy, size_total
 
 
 @dataclass(frozen=True)
@@ -41,22 +64,11 @@ def compute_stats(family: FamilyId,
                   max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE) -> StatRecord:
     """Brute-force the four statistics of the poset named by `family`."""
     poset = family_poset(family)
-    _guard(len(poset), max_poset_size, f"poset {family}")
-    elems = poset.elements
+    _guard(len(poset), max_poset_size, f"the size of poset {family}")
+    count, occupancy, size_total = _ideal_totals(poset)
     div = family.layer_divisor
-    layers = [e // div for e in elems]
-    count = members = layer_total = size_total = 0
-    for mask in _ideal_masks(poset):
-        r = mask.bit_count()
-        sigma = rho = 0
-        for i in _bit_indices(mask):
-            sigma += elems[i]
-            rho += layers[i]
-        count += 1
-        members += r
-        layer_total += rho
-        size_total += sigma - r * (r - 1) // 2
-    return StatRecord(family, count, members, layer_total, size_total)
+    layer_total = sum(k * (e // div) for k, e in zip(occupancy, poset.elements))
+    return StatRecord(family, count, sum(occupancy), layer_total, size_total)
 
 
 def core_count(a: int, b: int) -> int:
@@ -95,16 +107,8 @@ def average_size_check(a: int, b: int,
     """Sum the sizes of all (a, b)-cores and compare with
     (a-1)(b-1)(a+b+1)/(24(a+b)) * binom(a+b, a), exactly."""
     poset = gap_poset(a, b)
-    _guard(len(poset), max_poset_size, f"gap poset of ({a}, {b})")
-    elems = poset.elements
-    count = total = 0
-    for mask in _ideal_masks(poset):
-        r = mask.bit_count()
-        sigma = 0
-        for i in _bit_indices(mask):
-            sigma += elems[i]
-        count += 1
-        total += sigma - r * (r - 1) // 2
+    _guard(len(poset), max_poset_size, f"the size of the gap poset of ({a}, {b})")
+    count, _, total = _ideal_totals(poset)
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) * comb(a + b, a)
     return AverageSizeCheck(a, b, count, total, rhs,
                             Fraction(total, count), total == rhs)

@@ -94,6 +94,35 @@ def test_series_verify_order_guard(capsys):
     code, _, err = run(capsys, "series-verify", "--m", "2", "--order", "60")
     assert code == 2
     assert "guard" in err
+    # below the minimum ledger order nothing would be verified
+    code, out, err = run(capsys, "series-verify", "--m", "2", "--order", "3")
+    assert code == 2
+    assert out == "" and "order >= 4" in err
+
+
+def test_cross_check_unsafe_limits(capsys):
+    # FamilyId(2, 1, 8) has 64 elements, past the default guard of 60
+    code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "8",
+                       "--format", "json")
+    assert code == 2
+    code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "8",
+                       "--unsafe-limits", "--format", "json")
+    rows = json.loads(out)
+    assert code == 0
+    assert len(rows) == 2 * 9 * 4 and all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--m", "0", "--max-n", "2"),
+    ("recursions", "--m", "1", "--max-n", "-1"),
+    ("cross-check", "--m", "-1", "--max-n", "3"),
+])
+def test_empty_grid_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "error:" in err
 
 
 def test_cross_check(capsys):

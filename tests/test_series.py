@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from simcores.series import (DivisionByNonUnitError, IntegralityViolationError,
-                             TruncatedSeries, _require_integral,
+from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
+                             IntegralityViolationError, TruncatedSeries,
+                             _require_integral,
                              check_identities, constant, cross_check,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
@@ -170,6 +171,32 @@ def test_identity_effective_orders():
     # triple-derivative identities are verified three orders lower
     assert checks["third-derivative"].effective_order == 9
     assert checks["average-size-identity"].effective_order == 12
+    # no entry may pass vacuously, with nothing verified
+    for m in range(1, 7):
+        checks = check_identities(m, MIN_LEDGER_ORDER)
+        assert all(c.effective_order >= 1 for c in checks), m
+    with pytest.raises(ValueError):
+        check_identities(2, MIN_LEDGER_ORDER - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_identity_ledger_kinds(m):
+    # the formulas stat_series builds from are tagged, everything else is a
+    # residual that was actually evaluated
+    checks = check_identities(m, 12)
+    steps = range(1, m)
+    definitional = ({"member-bottom-closed-form", "layer-bottom-closed-form",
+                     "size-bottom-closed-form"}
+                    | {f"trimmed-count-power[j={j}]" for j in steps}
+                    | {f"member-closed-form[j={j}]" for j in steps}
+                    | {f"layer-closed-form[j={j}]" for j in steps}
+                    | {f"size-step-relation[j={j}]" for j in range(1, m - 1)})
+    if m >= 2:
+        definitional.add("size-top-relation")
+    assert {c.identity for c in checks if c.kind == "definitional"} == definitional
+    assert all(c.kind == "derived" for c in checks
+               if c.identity not in definitional)
+    assert all(c.passed for c in checks)
 
 
 def test_failed_identity_reports_first_nonzero():
