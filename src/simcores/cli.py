@@ -1,12 +1,14 @@
 """Command-line surface: enumerate cores, export posets, run verifications.
 
 Exit codes: 0 when every reported check passes, 1 when a verification
-failed (reports are still emitted), 2 for usage or guard errors.
+failed (reports are still emitted), 2 for usage or guard errors and when
+stdout is closed before the report is written (`simcores ... | head`).
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .betaset import ideal_to_partition
@@ -220,7 +222,14 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (the flush above surfaces it here): send what
+        # is still buffered to devnull so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except EnumerationTooLargeError as exc:
         print(f"error: {exc}; pass --unsafe-limits to override", file=sys.stderr)
         return 2

@@ -171,23 +171,23 @@ def _ideal_masks(poset: GapPoset) -> tuple[int, ...]:
     Elements are visited in increasing numeric order, which is a linear
     extension, so an element may join exactly when all its lower covers are
     already in.  Each ideal is produced once, by its sorted inclusion order.
+    The walk keeps its own stack, so a long chain cannot exhaust Python's
+    recursion limit; children are pushed in reverse to keep the preorder.
     """
     elems = poset.elements
     index = {e: i for i, e in enumerate(elems)}
     need = [0] * len(elems)
     for hi, lo in poset.covers:
         need[index[hi]] |= 1 << index[lo]
-    k = len(elems)
     out = []
-
-    def grow(start: int, acc: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        start, acc = stack.pop()
         out.append(acc)
-        for i in range(start, k):
+        for i in range(len(elems) - 1, start - 1, -1):
             ni = need[i]
             if acc & ni == ni:
-                grow(i + 1, acc | (1 << i))
-
-    grow(0, 0)
+                stack.append((i + 1, acc | (1 << i)))
     return tuple(out)
 
 

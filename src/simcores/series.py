@@ -1,12 +1,12 @@
-"""Truncated power series over exact rationals, and the generating-function
+"""Truncated power series over exact numbers, and the generating-function
 side of every statistic identity.
 
 A TruncatedSeries knows its coefficients exactly through x**order.  All
 arithmetic truncates to the shorter operand, and multiplying by x**k extends
 the trusted order by k, so the `order` of any computed residual is exactly
-how far the identity has been verified.  There is no floating point and no
-tolerance anywhere: an identity passes only if its residual is identically
-zero.
+how far the identity has been verified.  Coefficients are exact: `int` when
+whole, `Fraction` otherwise.  There is no floating point and no tolerance
+anywhere: an identity passes only if its residual is identically zero.
 """
 
 from dataclasses import dataclass
@@ -30,15 +30,21 @@ class IntegralityViolationError(ArithmeticError):
     """A counting series produced a non-integer coefficient."""
 
 
+def _exact(value) -> int | Fraction:
+    """`value` as an int when it is whole, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient of x^{k} beyond truncation order {self.order}")
         return self.coeffs[k]
@@ -50,7 +56,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x**k; the trusted order grows by k."""
-        return TruncatedSeries((Fraction(0),) * k + self.coeffs)
+        return TruncatedSeries((0,) * k + self.coeffs)
 
     def derivative(self) -> "TruncatedSeries":
         if self.order < 1:
@@ -88,12 +94,12 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
+            return TruncatedSeries(tuple(_exact(c * other) for c in self.coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
             if ai:
@@ -111,8 +117,8 @@ class TruncatedSeries:
             raise DivisionByNonUnitError("divisor has zero constant term")
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        inv0 = 1 / Fraction(b[0])
-        out = [Fraction(0)] * (n + 1)
+        inv0 = _exact(1 / Fraction(b[0]))
+        out = [0] * (n + 1)
         for k in range(n + 1):
             acc = a[k]
             for i in range(1, k + 1):
@@ -137,8 +143,8 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def max_abs(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+    def max_abs(self) -> int | Fraction:
+        return max((abs(c) for c in self.coeffs), default=0)
 
     def first_nonzero(self) -> int | None:
         for k, c in enumerate(self.coeffs):
@@ -149,16 +155,16 @@ class TruncatedSeries:
 
 def series(values, order: int | None = None) -> TruncatedSeries:
     """Build a series from coefficients, zero-padded or cut to `order`."""
-    coeffs = [Fraction(v) for v in values]
+    coeffs = [_exact(v) for v in values]
     if order is not None:
-        coeffs = (coeffs + [Fraction(0)] * (order + 1 - len(coeffs)))[:order + 1]
+        coeffs = (coeffs + [0] * (order + 1 - len(coeffs)))[:order + 1]
     if not coeffs:
-        coeffs = [Fraction(0)]
+        coeffs = [0]
     return TruncatedSeries(tuple(coeffs))
 
 
 def constant(value, order: int) -> TruncatedSeries:
-    return TruncatedSeries((Fraction(value),) + (Fraction(0),) * order)
+    return TruncatedSeries((_exact(value),) + (0,) * order)
 
 
 def fuss_catalan_number(m: int, n: int) -> int:
@@ -200,7 +206,8 @@ class SeriesBundle:
 
     Keys of the dicts are the truncation index j.  `count_trimmed[1]` is the
     squared count series when m = 2.  All counting series are checked for
-    integer coefficients at construction.
+    integer coefficients at construction.  `denom` is 1 - (m+1) x F**m, the
+    divisor of the size series.
     """
 
     m: int
@@ -209,6 +216,7 @@ class SeriesBundle:
     member: dict[int, TruncatedSeries]
     layer: dict[int, TruncatedSeries]
     size: dict[int, TruncatedSeries]
+    denom: TruncatedSeries
 
 
 def stat_series(m: int, order: int) -> SeriesBundle:
@@ -279,7 +287,7 @@ def stat_series(m: int, order: int) -> SeriesBundle:
                        - t0 * member[j + 1])
         for j in range(1, m):
             _require_integral(size[j], f"size series j={j}")
-    return SeriesBundle(m, F, trimmed, member, layer, size)
+    return SeriesBundle(m, F, trimmed, member, layer, size, denom)
 
 
 @dataclass(frozen=True)
@@ -294,7 +302,7 @@ class IdentityCheck:
     identity: str
     m: int
     effective_order: int
-    residual_max_abs: Fraction
+    residual_max_abs: int | Fraction
     first_nonzero: int | None
     passed: bool
     kind: str
@@ -319,7 +327,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     T, R, G = b.member, b.layer, b.size
     unit = constant(1, order)
     zero = constant(0, order)
-    denom = unit - (m + 1) * (F ** m).shift(1)
+    denom = b.denom
 
     out: list[IdentityCheck] = []
 
@@ -329,7 +337,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
                                  nz, nz is None, "derived"))
 
     def built(name, defined):
-        out.append(IdentityCheck(name, m, defined.order, Fraction(0),
+        out.append(IdentityCheck(name, m, defined.order, 0,
                                  None, True, "definitional"))
 
     add("defining-equation", (F ** (m + 1)).shift(1) - F + 1)

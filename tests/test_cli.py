@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+import simcores
 from simcores.cli import _report, build_parser, main
+
+FORMATS = ("plain", "json", "csv")
 
 
 def run(capsys, *argv):
@@ -157,3 +167,53 @@ def test_byte_determinism_of_reports(capsys):
                         "--format", "csv")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_cores_long_chain_unsafe_limits(capsys):
+    # a chain of 1001 elements, deeper than Python's recursion limit
+    code, out, _ = run(capsys, "cores", "--a", "2", "--b", "2003",
+                       "--unsafe-limits")
+    assert code == 0
+    assert out.startswith("(2, 2003)-cores: 1002\n")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    src = str(Path(simcores.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # about 400 KB of output, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"(9, 10)-cores: 4862\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err
+
+
+def exit_code(argv):
+    """`main`'s exit code; argparse's usage exit is the only exception
+    allowed out of it."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return 2
+
+
+@given(st.integers(-1, 7), st.integers(-1, 30), st.booleans(),
+       st.sampled_from(FORMATS))
+def test_series_verify_exit_contract(m, order, unsafe, fmt):
+    argv = ["series-verify", "--m", str(m), "--order", str(order),
+            "--format", fmt] + ["--unsafe-limits"] * unsafe
+    assert exit_code(argv) in (0, 1, 2)
+
+
+@given(st.integers(-2, 9), st.integers(-2, 9), st.sampled_from(FORMATS))
+def test_cores_exit_contract(a, b, fmt):
+    argv = ["cores", "--a", str(a), "--b", str(b), "--format", fmt]
+    assert exit_code(argv) in (0, 1, 2)

@@ -133,6 +133,16 @@ def test_stat_series_rejects_tiny_order():
         stat_series(2, 2)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stat_series_coefficients_are_ints(m):
+    # counting series stay in plain ints: every divisor has constant term 1
+    # and every rational scalar of the formulas is whole
+    b = stat_series(m, 24)
+    built = [b.count, *b.count_trimmed.values(), *b.member.values(),
+             *b.layer.values(), *b.size.values()]
+    assert all(type(c) is int for f in built for c in f.coeffs)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_identity_ledger_passes(m):
     checks = check_identities(m, 12)

@@ -85,6 +85,13 @@ def test_average_size_check_guard():
     assert average_size_check(3, 7, max_poset_size=None).matches
 
 
+def test_average_size_check_long_chain():
+    # the gap poset of (2, 2003) is a chain of 1001 elements, deeper than
+    # Python's recursion limit
+    chk = average_size_check(2, 2003, max_poset_size=None)
+    assert chk.count == 1002 and chk.matches
+
+
 def test_is_slope_pair():
     assert is_slope_pair(2, 5)
     assert is_slope_pair(5, 2)
