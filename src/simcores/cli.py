@@ -1,8 +1,11 @@
 """Command-line surface: enumerate cores, export posets, run verifications.
 
 Exit codes: 0 when every reported check passes, 1 when a verification
-failed (reports are still emitted), 2 for usage or guard errors and when
-stdout is closed before the report is written (`simcores ... | head`).
+failed (reports are still emitted) or an exact computation broke its own
+arithmetic check (an `ArithmeticError` such as `IntegralityViolationError`:
+an `error:` line on stderr instead of a report), 2 for usage or guard
+errors and when stdout is closed before the report is written
+(`simcores ... | head`).
 """
 
 import argparse
@@ -236,6 +239,9 @@ def main(argv=None) -> int:
     except (NonCoprimeError, InvalidFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

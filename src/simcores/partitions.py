@@ -77,15 +77,25 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
 def enumerate_cores_bounded(forbidden: Iterable[int], max_size: int) -> list[tuple[int, ...]]:
     """Every partition of size <= max_size whose hooks avoid `forbidden`.
 
-    Exhaustive by construction: filters all partitions of each n <= max_size,
-    so it is an independent (if slow) oracle for any smarter enumerator.
-    Output is canonically ordered: ascending size, then descending
-    lexicographic parts.
+    Partitions grow from the bottom row up.  A new top row of length p sits
+    on rows whose column heights are `cols`, so its cell c has hook
+    p - c + cols[c]; rows above it cannot change a hook already placed, so
+    a row with a forbidden hook is never extended and the search stays
+    exhaustive.  Output is canonically ordered: ascending size, then
+    descending lexicographic parts.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     banned = frozenset(forbidden)
-    return [parts
-            for n in range(max_size + 1)
-            for parts in partitions_of(n)
-            if is_core(parts, banned)]
+    found = []
+    stack = [((), (), 0)]   # (parts top row first, column heights, size)
+    while stack:
+        parts, cols, size = stack.pop()
+        found.append(parts)
+        for p in range(parts[0] if parts else 1, max_size - size + 1):
+            heights = cols + (0,) * (p - len(cols))
+            if any(p - c + h in banned for c, h in enumerate(heights)):
+                continue
+            stack.append(((p,) + parts, tuple(h + 1 for h in heights), size + p))
+    found.sort(key=lambda parts: (sum(parts), tuple(-q for q in parts)))
+    return [parts for parts in found if is_core(parts, banned)]

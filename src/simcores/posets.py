@@ -164,7 +164,9 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-@lru_cache(maxsize=None)
+# A few entries: `order_ideals` reads each poset's masks once, and an
+# unbounded cache would keep every mask tuple alive for the process's life.
+@lru_cache(maxsize=16)
 def _ideal_masks(poset: GapPoset) -> tuple[int, ...]:
     """Bitmasks (over ascending element index) of every order ideal.
 

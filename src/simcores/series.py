@@ -490,11 +490,12 @@ def cross_check(m: int, n_max: int, j: int | None = None,
                 order: int | None = None,
                 max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE
                 ) -> list[CrossCheck]:
-    """Compare series coefficients with enumeration, statistic by statistic.
+    """Compare series coefficients with `compute_stats`, statistic by
+    statistic.
 
     The two sides are computed by unrelated code paths (a fixed-point series
-    against a depth-first ideal walk), so agreement here is the package's
-    strongest oracle.
+    against a lattice-path transfer over the abacus of each poset), so
+    agreement here is the package's strongest oracle.
     """
     if order is None:
         order = n_max + 3

@@ -9,8 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .posets import (FamilyId, NonCoprimeError, _ideal_masks, family_poset,
-                     gap_poset)
+from .posets import FamilyId, NonCoprimeError, gap_poset
 
 DEFAULT_MAX_POSET_SIZE = 60
 
@@ -26,26 +25,52 @@ def _guard(size: int, limit: int | None, what: str) -> None:
             f"{what} is {size}, above the guard of {limit}")
 
 
-def _ideal_totals(poset) -> tuple[int, list[int], int]:
-    """One pass over every order ideal of `poset`.
+def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
+    """Totals over the order ideals of the gap poset of (a, b) with its
+    bottom j layers removed, in one pass along Anderson's lattice paths.
 
-    Returns the ideal count, how many ideals contain each element (by
-    element index), and the total core size, which is the sum over ideals
-    of `sum(members) - C(r, 2)` for an ideal of r members.
+    On the a-abacus, runner k (1 <= k < a) holds the t_k = k*b // a gaps
+    k*b % a + a*i (i < t_k), and the level i of a gap is its layer p // a.
+    An ideal keeps the bottom h_k gaps of every runner, where
+    h_k <= h_{k-1} + t_k - t_{k-1} (h_0 = t_0 = 0), because p - b sits
+    t_k - t_{k-1} levels lower on runner k - 1.  The bottom j layers form a
+    down-set, so the ideals of the truncation are the ideals containing it:
+    h_k >= min(j, t_k), and only members at levels >= j count.
+
+    For each height of the current runner the pass carries the moments
+    (count, sum s, sum s^2, sum of labels, sum of layers) of the paths
+    ending there, s being their number of members; suffix sums over the
+    previous runner's heights keep it linear in the number of gaps.
+    Returns (ideal count, member sum, layer sum, size sum), an ideal of s
+    members having size sum(labels) - C(s, 2).  With a <= 1 there are no
+    runners: the empty poset has one ideal.
     """
-    occupancy = [0] * len(poset)
-    count = pairs = 0
-    for mask in _ideal_masks(poset):
-        r = mask.bit_count()
-        count += 1
-        pairs += r * (r - 1) // 2
-        # walked inline: a generator per mask would cost more than the body
-        while mask:
-            low = mask & -mask
-            occupancy[low.bit_length() - 1] += 1
-            mask ^= low
-    size_total = sum(k * e for k, e in zip(occupancy, poset.elements)) - pairs
-    return count, occupancy, size_total
+    cnt, s1, s2, lab, lay = [1], [0], [0], [0], [0]   # runner 0: height 0
+    prev_t = prev_lo = 0
+    for k in range(1, a):
+        t, r = divmod(k * b, a)
+        lo = min(j, t)
+        for v in (cnt, s1, s2, lab, lay):
+            for i in range(len(v) - 2, -1, -1):
+                v[i] += v[i + 1]
+        # height h follows the previous heights >= h - (t - prev_t)
+        offset = t - prev_t + prev_lo
+        nxt = [], [], [], [], []
+        for h in range(lo, t + 1):
+            i = max(h - offset, 0)
+            c, x1, x2, xl, xy = cnt[i], s1[i], s2[i], lab[i], lay[i]
+            s = max(h - j, 0)          # members at levels j .. h - 1
+            y = s * (j + h - 1) // 2   # their layer sum
+            nxt[0].append(c)
+            nxt[1].append(x1 + s * c)
+            nxt[2].append(x2 + (2 * x1 + s * c) * s)
+            nxt[3].append(xl + (s * r + a * y) * c)
+            nxt[4].append(xy + y * c)
+        cnt, s1, s2, lab, lay = nxt
+        prev_t, prev_lo = t, lo
+    members = sum(s1)
+    return (sum(cnt), members, sum(lay),
+            sum(lab) - (sum(s2) - members) // 2)
 
 
 @dataclass(frozen=True)
@@ -62,13 +87,13 @@ class StatRecord:
 @lru_cache(maxsize=None)
 def compute_stats(family: FamilyId,
                   max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE) -> StatRecord:
-    """Brute-force the four statistics of the poset named by `family`."""
-    poset = family_poset(family)
-    _guard(len(poset), max_poset_size, f"the size of poset {family}")
-    count, occupancy, size_total = _ideal_totals(poset)
-    div = family.layer_divisor
-    layer_total = sum(k * (e // div) for k, e in zip(occupancy, poset.elements))
-    return StatRecord(family, count, sum(occupancy), layer_total, size_total)
+    """The four statistics of the poset named by `family`, by `_path_totals`
+    on the gap poset of (a, m*a + 1), a being the family's layer divisor."""
+    m, j, a = family.m, family.j, family.layer_divisor
+    # runner k of the a-abacus holds k*m gaps, k*m - j of them at layers >= j
+    size = (a - 1) * (m * a - 2 * j) // 2
+    _guard(size, max_poset_size, f"the size of poset {family}")
+    return StatRecord(family, *_path_totals(a, m * a + 1, j))
 
 
 def core_count(a: int, b: int) -> int:
@@ -108,7 +133,7 @@ def average_size_check(a: int, b: int,
     (a-1)(b-1)(a+b+1)/(24(a+b)) * binom(a+b, a), exactly."""
     poset = gap_poset(a, b)
     _guard(len(poset), max_poset_size, f"the size of the gap poset of ({a}, {b})")
-    count, _, total = _ideal_totals(poset)
+    count, _, _, total = _path_totals(a, b)
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) * comb(a + b, a)
     return AverageSizeCheck(a, b, count, total, rhs,
                             Fraction(total, count), total == rhs)
@@ -130,7 +155,7 @@ def verify_stat_recursions(m: int, n_max: int,
                            max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE
                            ) -> list[RecursionCheck]:
     """Check the convolution recursions of the four statistics against
-    brute-force values, for all n <= n_max.
+    the totals of `compute_stats`, for all n <= n_max.
 
     Superscripts wrap modulo m, so index m means the plain posets again.
     For m = 1 only the count and member recursions survive the collapse;

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import simcores
 from simcores.cli import _report, build_parser, main
+from simcores.series import IntegralityViolationError
 
 FORMATS = ("plain", "json", "csv")
 
@@ -217,3 +219,30 @@ def test_series_verify_exit_contract(m, order, unsafe, fmt):
 def test_cores_exit_contract(a, b, fmt):
     argv = ["cores", "--a", str(a), "--b", str(b), "--format", fmt]
     assert exit_code(argv) in (0, 1, 2)
+
+
+@given(st.sampled_from(("stats", "recursions", "cross-check")),
+       st.integers(-1, 7), st.integers(-1, 12), st.booleans(),
+       st.sampled_from(FORMATS))
+def test_grid_exit_contract(command, m, max_n, unsafe, fmt):
+    argv = [command, "--m", str(m), "--max-n", str(max_n),
+            "--format", fmt] + ["--unsafe-limits"] * unsafe
+    code = exit_code(argv)
+    assert code in (0, 1, 2)
+    if unsafe and m >= 1 and max_n >= 0:
+        assert code == 0
+
+
+def test_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):
+    def broken(m, order):
+        raise IntegralityViolationError("coefficient 3 of F is 1/2")
+
+    # `simcores.series` names the package's `series` function, not the module
+    monkeypatch.setattr(importlib.import_module("simcores.series"),
+                        "stat_series", broken)
+    for argv in (["series-verify", "--m", "2"],
+                 ["cross-check", "--m", "2", "--max-n", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and "error: coefficient 3 of F is 1/2" in err
+        assert "Traceback" not in err

@@ -94,6 +94,16 @@ def test_enumerate_cores_bounded_canonical_order():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("forbidden", [{1}, {2}, {3}, {2, 3}, {2, 5}, {3, 7},
+                                       {4, 6}, {5, 7, 9}, {6, 7}, {11}])
+def test_enumerate_cores_bounded_against_partition_filter(forbidden):
+    # the hook-pruned search against the exhaustive filter of every partition
+    for max_size in (0, 5, 14):
+        assert enumerate_cores_bounded(forbidden, max_size) == [
+            parts for n in range(max_size + 1) for parts in partitions_of(n)
+            if is_core(parts, forbidden)]
+
+
 @given(st.lists(st.integers(1, 20), max_size=10))
 def test_conjugate_involution(parts):
     parts = tuple(sorted(parts, reverse=True))

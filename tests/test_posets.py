@@ -4,7 +4,7 @@ from math import comb, gcd
 import pytest
 
 from simcores.posets import (ElementNotInPosetError, FamilyId, GapPoset,
-                             InvalidFamilyError, NonCoprimeError,
+                             InvalidFamilyError, NonCoprimeError, _ideal_masks,
                              above_prefix_iso, above_prefix_part,
                              check_isomorphism, detached_iso, detached_part,
                              family_poset, gap_poset, layer_index,
@@ -73,6 +73,14 @@ def test_order_ideals_downward_closed():
         for hi, lo in poset.covers:
             if hi in chosen:
                 assert lo in chosen
+
+
+def test_ideal_masks_cache_is_bounded():
+    posets = [gap_poset(2, b) for b in range(3, 83, 2)]   # 40 chains
+    for poset in posets:
+        order_ideals(poset)
+    info = _ideal_masks.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
 
 
 def test_order_ideals_canonical_order():

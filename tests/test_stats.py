@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from simcores.betaset import ideal_to_partition
-from simcores.posets import FamilyId, NonCoprimeError, family_poset, order_ideals
+from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
+                             family_poset, gap_poset, order_ideals)
+from simcores.series import cross_check
 from simcores.stats import (EnumerationTooLargeError, StatRecord,
                             average_size_check, compute_stats, core_count,
                             is_slope_pair, verify_stat_recursions)
@@ -26,6 +28,98 @@ def brute_stats(family):
             layers += sum(p // div for p in sub)
             sizes += sum(sub) - r * (r - 1) // 2
     return count, members, layers, sizes
+
+
+def _ideal_totals(poset) -> tuple[int, list[int], int]:
+    """One pass over every order ideal of `poset`.
+
+    Returns the ideal count, how many ideals contain each element (by
+    element index), and the total core size, which is the sum over ideals
+    of `sum(members) - C(r, 2)` for an ideal of r members.
+    """
+    occupancy = [0] * len(poset)
+    count = pairs = 0
+    for mask in _ideal_masks(poset):
+        r = mask.bit_count()
+        count += 1
+        pairs += r * (r - 1) // 2
+        # walked inline: a generator per mask would cost more than the body
+        while mask:
+            low = mask & -mask
+            occupancy[low.bit_length() - 1] += 1
+            mask ^= low
+    size_total = sum(k * e for k, e in zip(occupancy, poset.elements)) - pairs
+    return count, occupancy, size_total
+
+
+def enumerated_stats(family):
+    """Enumeration oracle for the four statistics: walk every ideal."""
+    poset = family_poset(family)
+    count, occupancy, size_total = _ideal_totals(poset)
+    div = family.layer_divisor
+    layer_total = sum(k * (e // div) for k, e in zip(occupancy, poset.elements))
+    return count, sum(occupancy), layer_total, size_total
+
+
+def test_path_totals_against_enumeration_on_the_guarded_grid():
+    families = 0
+    for m in range(1, 7):
+        for j in range(m):
+            n = 0
+            while len(family_poset(FamilyId(m, j, n))) <= 60:
+                fid = FamilyId(m, j, n)
+                rec = compute_stats(fid)
+                assert (rec.ideal_count, rec.member_sum, rec.layer_sum,
+                        rec.core_size_sum) == enumerated_stats(fid), fid
+                families += 1
+                n += 1
+    assert families == 134
+    # every coprime pair with at most 40 gaps, in both argument orders
+    pairs = [(a, b) for a in range(1, 82) for b in range(1, 82)
+             if gcd(a, b) == 1 and (a - 1) * (b - 1) // 2 <= 40]
+    assert all((b, a) in pairs for a, b in pairs)
+    for a, b in pairs:
+        count, _, total = _ideal_totals(gap_poset(a, b))
+        chk = average_size_check(a, b)
+        assert (chk.count, chk.total) == (count, total), (a, b)
+
+
+def test_guard_size_is_family_size():
+    # past n = 6 family_poset's Hasse diagram costs cubic time, so the size
+    # is counted from the gaps it keeps: those at layer >= j
+    for m in range(1, 7):
+        for j in range(m):
+            for n in range(14):
+                fid = FamilyId(m, j, n)
+                a = fid.layer_divisor
+                if n <= 6:
+                    size = len(family_poset(fid))
+                else:
+                    size = sum(p // a >= j
+                               for p in gap_poset(a, m * a + 1).elements)
+                compute_stats(fid, max_poset_size=size)
+                if size:
+                    with pytest.raises(EnumerationTooLargeError,
+                                       match=f"is {size}, above the guard"):
+                        compute_stats(fid, max_poset_size=size - 1)
+
+
+def test_checks_past_the_guard():
+    for m in range(1, 7):
+        checks = cross_check(m, 15, max_poset_size=None)
+        assert len(checks) == 4 * m * 16 and all(c.passed for c in checks)
+        checks = verify_stat_recursions(m, 15, max_poset_size=None)
+        assert checks and all(c.passed for c in checks)
+    for a, b in [(30, 31), (50, 51)]:
+        chk = average_size_check(a, b, max_poset_size=None)
+        assert chk.count == core_count(a, b) and chk.matches
+    for a, b in [(13, 29), (19, 30)]:
+        assert not is_slope_pair(a, b)
+        chk = average_size_check(a, b, max_poset_size=None)
+        # Armstrong's closed form, for every coprime pair
+        armstrong = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) \
+            * comb(a + b, a)
+        assert chk.total == armstrong and chk.count == core_count(a, b)
 
 
 def test_compute_stats_hand_examples():
