@@ -16,7 +16,7 @@ import sys
 
 from .betaset import ideal_to_partition
 from .posets import (FamilyId, InvalidFamilyError, NonCoprimeError,
-                     gap_poset, order_ideals, to_dot)
+                     gap_count, gap_poset, order_ideals, to_dot)
 from .series import check_identities, cross_check
 from .stats import (DEFAULT_MAX_POSET_SIZE, EnumerationTooLargeError, _guard,
                     average_size_check, compute_stats, is_slope_pair,
@@ -78,9 +78,9 @@ def _cmd_cores(args):
 
 
 def _cmd_poset(args):
-    poset = gap_poset(args.a, args.b)
-    _guard(len(poset), _limit(args),
+    _guard(gap_count(args.a, args.b), _limit(args),
            f"the size of the gap poset of ({args.a}, {args.b})")
+    poset = gap_poset(args.a, args.b)
     if args.format == "dot":
         print(to_dot(poset))
     elif args.format == "json":
@@ -104,21 +104,14 @@ def _cmd_stats(args):
                          "member_sum": rec.member_sum,
                          "layer_sum": rec.layer_sum,
                          "core_size_sum": rec.core_size_sum})
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        _write_csv(["m", "j", "n", "ideal_count", "member_sum",
-                    "layer_sum", "core_size_sum"],
-                   [[r[k] for k in ("m", "j", "n", "ideal_count", "member_sum",
-                                    "layer_sum", "core_size_sum")] for r in rows])
-    else:
-        for r in rows:
-            print("m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
-                  "layers={layer_sum} sizes={core_size_sum}".format(**r))
-    return 0
+    return _report(rows, args,
+                   "m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
+                   "layers={layer_sum} sizes={core_size_sum}".format_map)
 
 
 def _report(rows, args, plain):
+    """Print `rows` as JSON, CSV (header from the first row's keys) or one
+    `plain(row)` line each; exit 1 when a row carries a false "pass"."""
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
@@ -127,7 +120,7 @@ def _report(rows, args, plain):
     else:
         for r in rows:
             print(plain(r))
-    return 0 if all(r["pass"] for r in rows) else 1
+    return 0 if all(r.get("pass", True) for r in rows) else 1
 
 
 def _cmd_recursions(args):

@@ -24,37 +24,28 @@ class ElementNotInPosetError(LookupError):
     """An element was addressed that the poset does not contain."""
 
 
-def _representable(d: int, a: int, b: int) -> bool:
-    """Is d a nonnegative integer combination of a and b?"""
-    if d < 0:
-        return False
-    if a == 1 or b == 1:
-        return True
-    while d >= 0:
-        if d % a == 0:
-            return True
-        d -= b
-    return False
-
-
 @dataclass(frozen=True)
 class GapPoset:
     """Finite poset of semigroup gaps, possibly restricted to a subset.
 
-    `elements` may be any subset of the full gap set of {a, b}; sub-poset
-    views keep their original integer labels so explicit element maps apply
-    verbatim.  `covers` always holds the Hasse diagram of the induced order
-    as (upper, lower) pairs, sorted.
+    Invariant: `elements` is a convex set of gaps of {a, b}, under their
+    original labels so explicit element maps apply verbatim.  So its order
+    and Hasse diagram are the full gap poset's, restricted: `covers` holds
+    the (upper, lower) pairs with upper - lower in {a, b}, sorted.
     """
 
     a: int
     b: int
     elements: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
 
     @cached_property
     def _element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted((p, p - d) for p in self.elements
+                            for d in {self.a, self.b} if p - d in self))
 
     def __contains__(self, p: int) -> bool:
         return p in self._element_set
@@ -62,56 +53,62 @@ class GapPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _closure(self, seeds, step: int) -> set[int]:
+        """Up-closure (step 1) or down-closure (step -1) of the seeds."""
+        seen, stack = set(seeds), list(seeds)
+        while stack:
+            p = stack.pop()
+            for q in (p + step * self.a, p + step * self.b):
+                if q in self and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
     def leq(self, q: int, p: int) -> bool:
         """q <= p in the semigroup order (both must be elements)."""
         for e in (q, p):
             if e not in self:
                 raise ElementNotInPosetError(f"{e} is not an element of this poset")
-        return _representable(p - q, self.a, self.b)
+        return p in self._closure((q,), 1)
 
     def incomparable(self, p: int, q: int) -> bool:
         return not self.leq(p, q) and not self.leq(q, p)
 
 
-@lru_cache(maxsize=None)
-def gap_poset(a: int, b: int) -> GapPoset:
-    """The poset of all positive integers outside the semigroup of {a, b}."""
+def gap_count(a: int, b: int) -> int:
+    """The (a - 1)(b - 1)/2 gaps of {a, b}, once the generators check out."""
     if a < 1 or b < 1:
         raise ValueError("generators must be positive")
     if gcd(a, b) != 1:
         raise NonCoprimeError(f"gcd({a}, {b}) != 1; the gap set is infinite")
-    frontier = a * b - a - b
-    reachable = bytearray(max(frontier + 1, 1))
-    reachable[0] = 1
-    for v in range(1, frontier + 1):
-        if (v >= a and reachable[v - a]) or (v >= b and reachable[v - b]):
-            reachable[v] = 1
-    gaps = tuple(v for v in range(1, frontier + 1) if not reachable[v])
-    assert len(gaps) == (a - 1) * (b - 1) // 2
-    gap_set = frozenset(gaps)
-    covers = sorted((p, p - d) for p in gaps for d in {a, b} if p - d in gap_set)
-    return GapPoset(a, b, gaps, tuple(covers))
+    return (a - 1) * (b - 1) // 2
+
+
+@lru_cache(maxsize=None)
+def gap_poset(a: int, b: int) -> GapPoset:
+    """The poset of all positive integers outside the semigroup of {a, b}."""
+    count = gap_count(a, b)
+    # Sylvester: each gap is a*b - x*a - y*b for exactly one x, y >= 1
+    gaps = tuple(sorted(g for x in range(1, b) for y in range(1, a)
+                        if (g := a * b - x * a - y * b) > 0))
+    assert len(gaps) == count
+    return GapPoset(a, b, gaps)
 
 
 def induced_subposet(poset: GapPoset, keep) -> GapPoset:
-    """Sub-poset on `keep` (original labels) with its own Hasse diagram.
-
-    Covers are recomputed from the induced order, not merely restricted,
-    so removed intermediate elements cannot hide a covering pair.
+    """Sub-poset on `keep` (original labels), which must be convex:
+    everything between two kept elements is kept, so the sub-poset's covers
+    are the p - q in {a, b} rule restricted.  Otherwise ValueError.
     """
     keep = tuple(sorted(set(keep)))
     for p in keep:
         if p not in poset:
             raise ElementNotInPosetError(f"{p} is not an element of the ambient poset")
-    k = len(keep)
-    less = [[q < p and _representable(p - q, poset.a, poset.b) for p in keep]
-            for q in keep]
-    covers = []
-    for t in range(k):
-        for i in range(k):
-            if less[i][t] and not any(less[i][u] and less[u][t] for u in range(k)):
-                covers.append((keep[t], keep[i]))
-    return GapPoset(poset.a, poset.b, keep, tuple(sorted(covers)))
+    between = poset._closure(keep, 1) & poset._closure(keep, -1)
+    if len(between) != len(keep):
+        raise ValueError(f"not convex: {min(between.difference(keep))} lies "
+                         "between kept elements but is not kept")
+    return GapPoset(poset.a, poset.b, keep)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def family_poset(family: FamilyId) -> GapPoset:
     m, j, n = family.m, family.j, family.n
     if j == 0:
         if n == 0:
-            return GapPoset(1, m + 1, (), ())
+            return GapPoset(1, m + 1, ())
         return gap_poset(n, m * n + 1)
     big = gap_poset(n + 1, m * (n + 1) + 1)
     return induced_subposet(big, (p for p in big.elements if p // (n + 1) >= j))
@@ -219,9 +216,8 @@ def above_prefix_part(poset: GapPoset, i: int) -> GapPoset:
     if not 1 <= i <= len(mins) + 1:
         raise ValueError(f"i must be in [1, {len(mins) + 1}], got {i}")
     prefix, rest = mins[:i - 1], mins[i - 1:]
-    keep = [p for p in poset.elements
-            if any(p != q and poset.leq(q, p) for q in prefix)
-            and all(poset.incomparable(p, q) for q in rest)]
+    # p is comparable to a minimal element q exactly when p >= q
+    keep = poset._closure(prefix, 1) - set(prefix) - poset._closure(rest, 1)
     return induced_subposet(poset, keep)
 
 
@@ -230,9 +226,8 @@ def detached_part(poset: GapPoset, i: int) -> GapPoset:
     mins = minimal_elements(poset)
     if not 1 <= i <= len(mins):
         raise ValueError(f"i must be in [1, {len(mins)}], got {i}")
-    keep = [p for p in poset.elements
-            if all(poset.incomparable(p, q) for q in mins[:i])]
-    return induced_subposet(poset, keep)
+    return induced_subposet(
+        poset, poset._element_set - poset._closure(mins[:i], 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,20 +258,17 @@ def check_isomorphism(source: GapPoset, target: GapPoset, mapping) -> Isomorphis
     for p in source.elements:
         if p not in mapping:
             return IsomorphismReport(False, f"map not total: no image for {p}")
-    images = [mapping[p] for p in source.elements]
     seen = set()
-    for p, fp in zip(source.elements, images):
+    for fp in (mapping[p] for p in source.elements):
         if fp in seen:
             return IsomorphismReport(False, f"map not injective: {fp} is hit twice")
         seen.add(fp)
     if seen != set(target.elements):
         off = min(seen ^ set(target.elements))
         return IsomorphismReport(False, f"image and target differ at {off}")
-    mapped_covers = {(mapping[hi], mapping[lo]) for hi, lo in source.covers}
-    target_covers = set(target.covers)
-    if mapped_covers != target_covers:
-        bad = min(mapped_covers ^ target_covers)
-        return IsomorphismReport(False, f"cover relation differs at {bad}")
+    bad = {(mapping[hi], mapping[lo]) for hi, lo in source.covers} ^ set(target.covers)
+    if bad:
+        return IsomorphismReport(False, f"cover relation differs at {min(bad)}")
     return IsomorphismReport(True, None)
 
 
@@ -343,10 +335,5 @@ def trimmed_detached_iso(n: int, i: int) -> IsomorphismInstance:
 
 def to_dot(poset: GapPoset) -> str:
     """Hasse diagram in DOT: one node per element, one edge upper -> lower."""
-    lines = ["digraph hasse {"]
-    for e in poset.elements:
-        lines.append(f'  "{e}";')
-    for hi, lo in sorted(poset.covers):
-        lines.append(f'  "{hi}" -> "{lo}";')
-    lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(["digraph hasse {", *(f'  "{e}";' for e in poset.elements),
+                      *(f'  "{hi}" -> "{lo}";' for hi, lo in poset.covers), "}"])

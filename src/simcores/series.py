@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .posets import FamilyId
-from .stats import DEFAULT_MAX_POSET_SIZE, compute_stats
+from .stats import DEFAULT_MAX_POSET_SIZE, compute_stats, core_count
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -168,11 +168,9 @@ def constant(value, order: int) -> TruncatedSeries:
 
 
 def fuss_catalan_number(m: int, n: int) -> int:
-    """Closed binomial form binom((m+1)n + 1, n) / ((m+1)n + 1), exactly."""
-    top = (m + 1) * n + 1
-    q, rem = divmod(comb(top, n), top)
-    assert rem == 0
-    return q
+    """Closed binomial form binom((m+1)n + 1, n) / ((m+1)n + 1), exactly:
+    the number of (n, m*n + 1)-cores."""
+    return core_count(n, m * n + 1)
 
 
 def fuss_catalan_series(m: int, order: int) -> TruncatedSeries:

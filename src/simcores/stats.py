@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .posets import FamilyId, NonCoprimeError, gap_poset
+from .posets import FamilyId, NonCoprimeError, gap_count
 
 DEFAULT_MAX_POSET_SIZE = 60
 
@@ -131,8 +131,8 @@ def average_size_check(a: int, b: int,
                        max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE) -> AverageSizeCheck:
     """Sum the sizes of all (a, b)-cores and compare with
     (a-1)(b-1)(a+b+1)/(24(a+b)) * binom(a+b, a), exactly."""
-    poset = gap_poset(a, b)
-    _guard(len(poset), max_poset_size, f"the size of the gap poset of ({a}, {b})")
+    _guard(gap_count(a, b), max_poset_size,
+           f"the size of the gap poset of ({a}, {b})")
     count, _, _, total = _path_totals(a, b)
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) * comb(a + b, a)
     return AverageSizeCheck(a, b, count, total, rhs,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import simcores
 from simcores.cli import _report, build_parser, main
+from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
 
 FORMATS = ("plain", "json", "csv")
@@ -73,6 +75,48 @@ def test_poset_guard(capsys):
     code, _, err = run(capsys, "poset", "--a", "11", "--b", "14")
     assert code == 2
     assert "guard" in err
+
+
+# SHA-256 and length of the `poset` stdout, recorded before covers were
+# derived from (a, b); a reordered or missing cover changes the digest.
+POSET_GOLDEN = {
+    (6, 13, "dot"):
+        (953, "6931e338f22fbf1c1bbd7895fc6241573cf6a45e53cb6362f204d2af197c8561"),
+    (6, 13, "json"):
+        (1717, "92801e4fa83b6822e04a0cfef86c2046740d349c39a1478efd498f83cafb1dc4"),
+    (6, 13, "plain"):
+        (781, "9d33253e164f382d5fc267a33c3efe51adadeae76a572c3806862cb3c4cbb766"),
+    (8, 17, "dot"):
+        (1906, "127209ea4757ac8b3fa6b65d7edb3f9aba7a5f95dd94e5fe8a543909e185fbf2"),
+    (8, 17, "json"):
+        (3406, "dab405dee408f00fdf68a5062865c7532e45a063b0e12ad9d2aebe0e773906a3"),
+    (8, 17, "plain"):
+        (1584, "1b98d59d0a57a6461c096636f6d4f415bade554398f91de73339e1d6b0ced180"),
+}
+
+
+@pytest.mark.parametrize("a,b,fmt", sorted(POSET_GOLDEN))
+def test_poset_output_is_pinned(capsys, a, b, fmt):
+    code, out, _ = run(capsys, "poset", "--a", str(a), "--b", str(b),
+                       "--format", fmt)
+    data = out.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == POSET_GOLDEN[(a, b, fmt)]
+
+
+@pytest.mark.parametrize("command", ["cores", "poset"])
+def test_guard_is_checked_before_any_poset(capsys, command):
+    gap_poset.cache_clear()   # so an earlier case cannot have built it
+    misses = gap_poset.cache_info().misses
+    code, out, err = run(capsys, command, "--a", "700", "--b", "701")
+    assert code == 2 and out == ""
+    assert err == ("error: the size of the gap poset of (700, 701) is 244650, "
+                   "above the guard of 60; pass --unsafe-limits to override\n")
+    assert gap_poset.cache_info().misses == misses
+    code, out, err = run(capsys, command, "--a", "40", "--b", "60")
+    assert code == 2 and out == "" and "gcd(40, 60)" in err and "guard" not in err
+    code, out, err = run(capsys, command, "--a", "0", "--b", "5")
+    assert code == 2 and out == "" and "positive" in err
 
 
 def test_stats_csv(capsys):

@@ -7,7 +7,8 @@ from simcores.posets import (ElementNotInPosetError, FamilyId, GapPoset,
                              InvalidFamilyError, NonCoprimeError, _ideal_masks,
                              above_prefix_iso, above_prefix_part,
                              check_isomorphism, detached_iso, detached_part,
-                             family_poset, gap_poset, layer_index,
+                             family_poset, gap_count, gap_poset,
+                             induced_subposet, layer_index,
                              minimal_elements, order_ideals, to_dot,
                              trimmed_above_prefix_iso, trimmed_detached_iso,
                              trimmed_reflection_iso)
@@ -17,6 +18,34 @@ from simcores.series import fuss_catalan_series
 def coprime_pairs(max_sum):
     return [(a, b) for a in range(2, max_sum) for b in range(a + 1, max_sum)
             if a + b <= max_sum and gcd(a, b) == 1]
+
+
+def _representable(d: int, a: int, b: int) -> bool:
+    """Is d a nonnegative integer combination of a and b?"""
+    if d < 0:
+        return False
+    if a == 1 or b == 1:
+        return True
+    while d >= 0:
+        if d % a == 0:
+            return True
+        d -= b
+    return False
+
+
+def reduced_covers(poset):
+    """Oracle Hasse diagram: the transitive reduction of the semigroup order
+    on `poset.elements`, cubic in the size and blind to convexity."""
+    keep = poset.elements
+    k = len(keep)
+    less = [[q < p and _representable(p - q, poset.a, poset.b) for p in keep]
+            for q in keep]
+    covers = []
+    for t in range(k):
+        for i in range(k):
+            if less[i][t] and not any(less[i][u] and less[u][t] for u in range(k)):
+                covers.append((keep[t], keep[i]))
+    return tuple(sorted(covers))
 
 
 def brute_ideals(poset):
@@ -52,7 +81,12 @@ def test_gap_poset_rejects_noncoprime():
 
 def test_gap_count_formula():
     for a, b in coprime_pairs(24):
-        assert len(gap_poset(a, b)) == (a - 1) * (b - 1) // 2
+        assert len(gap_poset(a, b)) == gap_count(a, b) == (a - 1) * (b - 1) // 2
+    assert gap_count(1, 1) == gap_count(1, 9) == 0
+    with pytest.raises(NonCoprimeError):
+        gap_count(6, 9)
+    with pytest.raises(ValueError, match="positive"):
+        gap_count(0, 5)
 
 
 def test_order_ideals_examples():
@@ -230,3 +264,63 @@ def test_induced_subposet_keeps_labels():
     assert isinstance(part, GapPoset)
     assert part.a == 6 and part.b == 13
     assert set(part.covers) == {(14, 8), (20, 14), (20, 7)}
+
+
+def _assert_order_matches_oracle(poset):
+    a, b = poset.a, poset.b
+    assert poset.covers == reduced_covers(poset), (a, b, poset.elements)
+    pairs = 0
+    for q in poset.elements:
+        for p in poset.elements:
+            assert poset.leq(q, p) == _representable(p - q, a, b), (a, b, q, p)
+            pairs += 1
+    return pairs
+
+
+def test_order_matches_transitive_reduction_oracle():
+    posets = [gap_poset(a, b) for a in range(1, 12) for b in range(1, 12)
+              if gcd(a, b) == 1]
+    for m in range(1, 7):
+        for j in range(m):
+            n = 0
+            while len(family_poset(FamilyId(m, j, n))) <= 60:
+                posets.append(family_poset(FamilyId(m, j, n)))
+                n += 1
+    assert len(posets) == 83 + 134
+    for n in range(8):
+        for whole in (family_poset(FamilyId(2, 0, n)),
+                      family_poset(FamilyId(2, 1, n))):
+            a, b = whole.a, whole.b
+            mins = minimal_elements(whole)
+            for i in range(1, len(mins) + 2):
+                part = above_prefix_part(whole, i)
+                # the old pairwise definition, over the oracle's order
+                assert part.elements == tuple(
+                    p for p in whole.elements
+                    if any(p != q and _representable(p - q, a, b)
+                           for q in mins[:i - 1])
+                    and not any(_representable(p - q, a, b)
+                                or _representable(q - p, a, b)
+                                for q in mins[i - 1:]))
+                posets.append(part)
+            for i in range(1, len(mins) + 1):
+                part = detached_part(whole, i)
+                assert part.elements == tuple(
+                    p for p in whole.elements
+                    if not any(_representable(p - q, a, b)
+                               or _representable(q - p, a, b)
+                               for q in mins[:i]))
+                posets.append(part)
+    assert len(posets) == 331
+    assert sum(_assert_order_matches_oracle(p) for p in posets) == 132_995
+
+
+def test_induced_subposet_rejects_non_convex_sets():
+    poset = gap_poset(3, 7)
+    # 4 and 8 lie between 1 and 11
+    with pytest.raises(ValueError, match="not convex"):
+        induced_subposet(poset, {1, 11})
+    with pytest.raises(ElementNotInPosetError):
+        induced_subposet(poset, {1, 3})
+    assert induced_subposet(poset, {1, 4, 8, 11}).covers == (
+        (4, 1), (8, 1), (11, 4), (11, 8))

@@ -85,18 +85,11 @@ def test_path_totals_against_enumeration_on_the_guarded_grid():
 
 
 def test_guard_size_is_family_size():
-    # past n = 6 family_poset's Hasse diagram costs cubic time, so the size
-    # is counted from the gaps it keeps: those at layer >= j
     for m in range(1, 7):
         for j in range(m):
             for n in range(14):
                 fid = FamilyId(m, j, n)
-                a = fid.layer_divisor
-                if n <= 6:
-                    size = len(family_poset(fid))
-                else:
-                    size = sum(p // a >= j
-                               for p in gap_poset(a, m * a + 1).elements)
+                size = len(family_poset(fid))
                 compute_stats(fid, max_poset_size=size)
                 if size:
                     with pytest.raises(EnumerationTooLargeError,
