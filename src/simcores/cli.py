@@ -3,9 +3,10 @@
 Exit codes: 0 when every reported check passes, 1 when a verification
 failed (reports are still emitted) or an exact computation broke its own
 arithmetic check (an `ArithmeticError` such as `IntegralityViolationError`:
-an `error:` line on stderr instead of a report), 2 for usage or guard
-errors and when stdout is closed before the report is written
-(`simcores ... | head`).
+an `error:` line on stderr instead of a report), 2 for usage errors, for a
+job over a guard (a closed form of the command's arguments, checked before
+any work and lifted by `--unsafe-limits`) and when stdout is closed before
+the report is written (`simcores ... | head`).
 """
 
 import argparse
@@ -15,19 +16,34 @@ import os
 import sys
 
 from .betaset import ideal_to_partition
-from .posets import (FamilyId, InvalidFamilyError, NonCoprimeError,
-                     gap_count, gap_poset, order_ideals, to_dot)
+from .posets import FamilyId, gap_count, gap_poset, order_ideals, to_dot
 from .series import check_identities, cross_check
-from .stats import (DEFAULT_MAX_POSET_SIZE, EnumerationTooLargeError, _guard,
-                    average_size_check, compute_stats, is_slope_pair,
-                    verify_stat_recursions)
+from .stats import (EnumerationTooLargeError, average_size_check,
+                    compute_stats, core_count, verify_stat_recursions)
 
-MAX_ORDER = 24
+MAX_LISTED_PARTS = 6_250_000   # (11, 13) lists 6,240,360
+MAX_LISTED_GAPS = 2_499        # the largest g with g(g + 1) <= that
+MAX_POSET_SIZE = 60
+MAX_M = 40
+MAX_GRID_ELEMENTS = 400_000    # m = 6, n <= 40 has 396,060
+MAX_ORDER = 40
 
 
-def _limit(args, guard=DEFAULT_MAX_POSET_SIZE):
-    """The guard to enforce: `guard`, or none under --unsafe-limits."""
-    return None if args.unsafe_limits else guard
+def _guard(args, size, limit, what):
+    """Refuse a job whose `size` is above `limit`, unless --unsafe-limits."""
+    if size > limit and not args.unsafe_limits:
+        raise EnumerationTooLargeError(
+            f"{what} is {size}, above the guard of {limit}; "
+            "pass --unsafe-limits to override")
+
+
+def _guard_grid(args):
+    """Guard --m and the poset elements of the grid j < m, n <= max_n, the
+    sum over n of C(mn, 2) (the truncations of one n together)."""
+    m, n = args.m, args.max_n
+    _guard(args, m, MAX_M, "--m")
+    _guard(args, m * n * (n + 1) * (m * (2 * n + 1) - 3) // 12,
+           MAX_GRID_ELEMENTS, f"the element count of the m={m}, n<={n} grid")
 
 
 def _int_at_least(low):
@@ -47,7 +63,16 @@ def _write_csv(header, rows):
 
 
 def _cmd_cores(args):
-    check = average_size_check(args.a, args.b, max_poset_size=_limit(args))
+    # Each core's hook set is an ideal of the gaps, so a listing has at most
+    # gaps * core_count parts.  g gaps have g + 1 ideals or more: the gap
+    # guard refuses no listing the parts guard admits, and keeps the binomial
+    # of core_count small.
+    gaps = gap_count(args.a, args.b)
+    _guard(args, gaps, MAX_LISTED_GAPS,
+           f"the size of the gap poset of ({args.a}, {args.b})")
+    _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
+           f"the part count of the ({args.a}, {args.b})-core listing")
+    check = average_size_check(args.a, args.b)
     poset = gap_poset(args.a, args.b)
     cores = sorted((ideal_to_partition(members) for members in order_ideals(poset)),
                    key=lambda p: (sum(p), tuple(-q for q in p)))
@@ -72,13 +97,11 @@ def _cmd_cores(args):
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
         for p in cores:
             print(f"  {list(p)}")
-    if check.matches:
-        return 0
-    return 1 if is_slope_pair(args.a, args.b) or args.assert_general else 0
+    return 0 if check.matches else 1
 
 
 def _cmd_poset(args):
-    _guard(gap_count(args.a, args.b), _limit(args),
+    _guard(args, gap_count(args.a, args.b), MAX_POSET_SIZE,
            f"the size of the gap poset of ({args.a}, {args.b})")
     poset = gap_poset(args.a, args.b)
     if args.format == "dot":
@@ -95,10 +118,11 @@ def _cmd_poset(args):
 
 
 def _cmd_stats(args):
+    _guard_grid(args)
     rows = []
     for j in range(args.m):
         for n in range(args.max_n + 1):
-            rec = compute_stats(FamilyId(args.m, j, n), _limit(args))
+            rec = compute_stats(FamilyId(args.m, j, n))
             rows.append({"m": args.m, "j": j, "n": n,
                          "ideal_count": rec.ideal_count,
                          "member_sum": rec.member_sum,
@@ -124,8 +148,8 @@ def _report(rows, args, plain):
 
 
 def _cmd_recursions(args):
-    checks = verify_stat_recursions(args.m, args.max_n,
-                                    max_poset_size=_limit(args))
+    _guard_grid(args)
+    checks = verify_stat_recursions(args.m, args.max_n)
     rows = [{"name": c.name, "m": c.m, "n": c.n, "lhs": c.lhs, "rhs": c.rhs,
              "pass": c.passed} for c in checks]
     return _report(rows, args,
@@ -135,7 +159,8 @@ def _cmd_recursions(args):
 
 
 def _cmd_series_verify(args):
-    _guard(args.order, _limit(args, MAX_ORDER), "the series order")
+    _guard(args, args.m, MAX_M, "--m")
+    _guard(args, args.order, MAX_ORDER, "the series order")
     checks = check_identities(args.m, args.order)
     rows = [{"identity_name": c.identity, "m": c.m,
              "effective_order": c.effective_order,
@@ -148,7 +173,8 @@ def _cmd_series_verify(args):
 
 
 def _cmd_cross_check(args):
-    checks = cross_check(args.m, args.max_n, max_poset_size=_limit(args))
+    _guard_grid(args)
+    checks = cross_check(args.m, args.max_n)
     rows = [{"m": c.m, "j": c.j, "n": c.n, "statistic": c.statistic,
              "series_value": c.series_value,
              "enumerated_value": c.enumerated_value,
@@ -169,7 +195,7 @@ def build_parser():
     def common(p, formats=("plain", "json", "csv")):
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--unsafe-limits", action="store_true",
-                       help="lift the enumeration and order guards")
+                       help="lift this command's guards")
 
     def grid(p):
         p.add_argument("--m", type=_int_at_least(1), required=True)
@@ -180,9 +206,6 @@ def build_parser():
                                      "and check the average-size formula")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--assert-general", action="store_true",
-                   help="exit 1 on a mismatch even for pairs outside the "
-                        "slope family")
     common(p)
     p.set_defaults(func=_cmd_cores)
 
@@ -226,10 +249,7 @@ def main(argv=None) -> int:
         # is still buffered to devnull so the flush at exit cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except EnumerationTooLargeError as exc:
-        print(f"error: {exc}; pass --unsafe-limits to override", file=sys.stderr)
-        return 2
-    except (NonCoprimeError, InvalidFamilyError, ValueError) as exc:
+    except (EnumerationTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .posets import FamilyId
-from .stats import DEFAULT_MAX_POSET_SIZE, compute_stats, core_count
+from .stats import compute_stats, core_count
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -484,31 +484,26 @@ class CrossCheck:
     passed: bool
 
 
-def cross_check(m: int, n_max: int, j: int | None = None,
-                order: int | None = None,
-                max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE
-                ) -> list[CrossCheck]:
+def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     """Compare series coefficients with `compute_stats`, statistic by
-    statistic.
+    statistic, on every truncation j < m and every n <= n_max.
 
     The two sides are computed by unrelated code paths (a fixed-point series
     against a lattice-path transfer over the abacus of each poset), so
     agreement here is the package's strongest oracle.
     """
-    if order is None:
-        order = n_max + 3
-    bundle = stat_series(m, order)
+    bundle = stat_series(m, n_max + 3)
     out = []
-    for jj in range(m) if j is None else (j,):
-        counts = bundle.count if jj == 0 else bundle.count_trimmed[jj]
+    for j in range(m):
+        counts = bundle.count if j == 0 else bundle.count_trimmed[j]
         for n in range(n_max + 1):
-            rec = compute_stats(FamilyId(m, jj, n), max_poset_size)
+            rec = compute_stats(FamilyId(m, j, n))
             rows = (("count", counts, rec.ideal_count),
-                    ("member", bundle.member[jj], rec.member_sum),
-                    ("layer", bundle.layer[jj], rec.layer_sum),
-                    ("size", bundle.size[jj], rec.core_size_sum))
+                    ("member", bundle.member[j], rec.member_sum),
+                    ("layer", bundle.layer[j], rec.layer_sum),
+                    ("size", bundle.size[j], rec.core_size_sum))
             for stat, srs, enumerated in rows:
                 value = srs[n]
-                out.append(CrossCheck(m, jj, n, stat, int(value), enumerated,
+                out.append(CrossCheck(m, j, n, stat, int(value), enumerated,
                                       value == enumerated))
     return out

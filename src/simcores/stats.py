@@ -11,18 +11,9 @@ from math import comb, gcd
 
 from .posets import FamilyId, NonCoprimeError, gap_count
 
-DEFAULT_MAX_POSET_SIZE = 60
-
 
 class EnumerationTooLargeError(RuntimeError):
-    """The poset exceeds the configured enumeration guard."""
-
-
-def _guard(size: int, limit: int | None, what: str) -> None:
-    """Raise when `size` exceeds `limit`; a limit of None lifts the guard."""
-    if limit is not None and size > limit:
-        raise EnumerationTooLargeError(
-            f"{what} is {size}, above the guard of {limit}")
+    """A CLI job over its guard, a closed form of the command's arguments."""
 
 
 def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
@@ -85,14 +76,10 @@ class StatRecord:
 
 
 @lru_cache(maxsize=None)
-def compute_stats(family: FamilyId,
-                  max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE) -> StatRecord:
+def compute_stats(family: FamilyId) -> StatRecord:
     """The four statistics of the poset named by `family`, by `_path_totals`
     on the gap poset of (a, m*a + 1), a being the family's layer divisor."""
     m, j, a = family.m, family.j, family.layer_divisor
-    # runner k of the a-abacus holds k*m gaps, k*m - j of them at layers >= j
-    size = (a - 1) * (m * a - 2 * j) // 2
-    _guard(size, max_poset_size, f"the size of poset {family}")
     return StatRecord(family, *_path_totals(a, m * a + 1, j))
 
 
@@ -127,12 +114,10 @@ class AverageSizeCheck:
     matches: bool
 
 
-def average_size_check(a: int, b: int,
-                       max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE) -> AverageSizeCheck:
+def average_size_check(a: int, b: int) -> AverageSizeCheck:
     """Sum the sizes of all (a, b)-cores and compare with
     (a-1)(b-1)(a+b+1)/(24(a+b)) * binom(a+b, a), exactly."""
-    _guard(gap_count(a, b), max_poset_size,
-           f"the size of the gap poset of ({a}, {b})")
+    gap_count(a, b)   # raises on a non-positive or non-coprime pair
     count, _, _, total = _path_totals(a, b)
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) * comb(a + b, a)
     return AverageSizeCheck(a, b, count, total, rhs,
@@ -151,9 +136,7 @@ class RecursionCheck:
     passed: bool
 
 
-def verify_stat_recursions(m: int, n_max: int,
-                           max_poset_size: int | None = DEFAULT_MAX_POSET_SIZE
-                           ) -> list[RecursionCheck]:
+def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     """Check the convolution recursions of the four statistics against
     the totals of `compute_stats`, for all n <= n_max.
 
@@ -165,7 +148,7 @@ def verify_stat_recursions(m: int, n_max: int,
     recs = {}
     for j in range(m):
         for n in range(n_max + 1):
-            recs[(j, n)] = compute_stats(FamilyId(m, j, n), max_poset_size)
+            recs[(j, n)] = compute_stats(FamilyId(m, j, n))
 
     def A(j, n): return recs[(j % m, n)].ideal_count
     def T(j, n): return recs[(j % m, n)].member_sum

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import simcores
+from simcores import cli
 from simcores.cli import _report, build_parser, main
 from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
@@ -106,12 +108,15 @@ def test_poset_output_is_pinned(capsys, a, b, fmt):
 
 @pytest.mark.parametrize("command", ["cores", "poset"])
 def test_guard_is_checked_before_any_poset(capsys, command):
+    limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]
     gap_poset.cache_clear()   # so an earlier case cannot have built it
     misses = gap_poset.cache_info().misses
     code, out, err = run(capsys, command, "--a", "700", "--b", "701")
     assert code == 2 and out == ""
     assert err == ("error: the size of the gap poset of (700, 701) is 244650, "
-                   "above the guard of 60; pass --unsafe-limits to override\n")
+                   f"above the guard of {limit}; pass --unsafe-limits to "
+                   "override\n")
+    assert len(err) < 200
     assert gap_poset.cache_info().misses == misses
     code, out, err = run(capsys, command, "--a", "40", "--b", "60")
     assert code == 2 and out == "" and "gcd(40, 60)" in err and "guard" not in err
@@ -150,6 +155,9 @@ def test_series_verify_order_guard(capsys):
     code, _, err = run(capsys, "series-verify", "--m", "2", "--order", "60")
     assert code == 2
     assert "guard" in err
+    code, _, err = run(capsys, "series-verify", "--m", "41", "--order", "4")
+    assert code == 2
+    assert "--m is 41, above the guard of 40" in err
     # below the minimum ledger order nothing would be verified
     code, out, err = run(capsys, "series-verify", "--m", "2", "--order", "3")
     assert code == 2
@@ -157,15 +165,15 @@ def test_series_verify_order_guard(capsys):
 
 
 def test_cross_check_unsafe_limits(capsys):
-    # FamilyId(2, 1, 8) has 64 elements, past the default guard of 60
-    code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "8",
-                       "--format", "json")
-    assert code == 2
-    code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "8",
+    # the grid m = 2, n <= 85 holds 413,015 poset elements, past the guard
+    code, out, err = run(capsys, "cross-check", "--m", "2", "--max-n", "85",
+                         "--format", "json")
+    assert code == 2 and out == "" and "is 413015, above the guard" in err
+    code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "85",
                        "--unsafe-limits", "--format", "json")
     rows = json.loads(out)
     assert code == 0
-    assert len(rows) == 2 * 9 * 4 and all(r["pass"] for r in rows)
+    assert len(rows) == 2 * 86 * 4 and all(r["pass"] for r in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,6 +231,17 @@ def test_cores_long_chain_unsafe_limits(capsys):
     assert out.startswith("(2, 2003)-cores: 1002\n")
 
 
+def test_cores_mismatch_exits_1(capsys, monkeypatch):
+    # a mismatch fails every pair, inside the slope family (3, 7) or not
+    real = cli.average_size_check
+    monkeypatch.setattr(cli, "average_size_check",
+                        lambda a, b: dataclasses.replace(real(a, b),
+                                                         matches=False))
+    for a, b in [(3, 7), (3, 5)]:
+        code, out, _ = run(capsys, "cores", "--a", str(a), "--b", str(b))
+        assert code == 1 and "matches closed form: no" in out
+
+
 def test_closed_stdout_exits_2_without_traceback():
     src = str(Path(simcores.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -271,10 +290,8 @@ def test_cores_exit_contract(a, b, fmt):
 def test_grid_exit_contract(command, m, max_n, unsafe, fmt):
     argv = [command, "--m", str(m), "--max-n", str(max_n),
             "--format", fmt] + ["--unsafe-limits"] * unsafe
-    code = exit_code(argv)
-    assert code in (0, 1, 2)
-    if unsafe and m >= 1 and max_n >= 0:
-        assert code == 0
+    # every grid drawn is inside the guards: at most 15,652 poset elements
+    assert exit_code(argv) == (0 if m >= 1 and max_n >= 0 else 2)
 
 
 def test_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):

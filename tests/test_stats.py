@@ -1,9 +1,12 @@
+import argparse
+import importlib
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
+from simcores import cli
 from simcores.betaset import ideal_to_partition
 from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
                              family_poset, gap_poset, order_ideals)
@@ -84,31 +87,37 @@ def test_path_totals_against_enumeration_on_the_guarded_grid():
         assert (chk.count, chk.total) == (count, total), (a, b)
 
 
-def test_guard_size_is_family_size():
+def test_guard_size_is_family_size(monkeypatch):
+    # the CLI's grid guard fires exactly above the elements of the family
+    # posets it covers
     for m in range(1, 7):
-        for j in range(m):
-            for n in range(14):
-                fid = FamilyId(m, j, n)
-                size = len(family_poset(fid))
-                compute_stats(fid, max_poset_size=size)
-                if size:
-                    with pytest.raises(EnumerationTooLargeError,
-                                       match=f"is {size}, above the guard"):
-                        compute_stats(fid, max_poset_size=size - 1)
+        elements = 0
+        for n in range(14):
+            layer = sum(len(family_poset(FamilyId(m, j, n))) for j in range(m))
+            assert layer == comb(m * n, 2)
+            elements += layer
+            args = argparse.Namespace(m=m, max_n=n, unsafe_limits=False)
+            monkeypatch.setattr(cli, "MAX_GRID_ELEMENTS", elements)
+            cli._guard_grid(args)
+            if elements:
+                monkeypatch.setattr(cli, "MAX_GRID_ELEMENTS", elements - 1)
+                with pytest.raises(EnumerationTooLargeError,
+                                   match=f"is {elements}, above the guard"):
+                    cli._guard_grid(args)
 
 
 def test_checks_past_the_guard():
     for m in range(1, 7):
-        checks = cross_check(m, 15, max_poset_size=None)
-        assert len(checks) == 4 * m * 16 and all(c.passed for c in checks)
-        checks = verify_stat_recursions(m, 15, max_poset_size=None)
+        checks = cross_check(m, 40)
+        assert len(checks) == 4 * m * 41 and all(c.passed for c in checks)
+        checks = verify_stat_recursions(m, 40)
         assert checks and all(c.passed for c in checks)
     for a, b in [(30, 31), (50, 51)]:
-        chk = average_size_check(a, b, max_poset_size=None)
+        chk = average_size_check(a, b)
         assert chk.count == core_count(a, b) and chk.matches
     for a, b in [(13, 29), (19, 30)]:
         assert not is_slope_pair(a, b)
-        chk = average_size_check(a, b, max_poset_size=None)
+        chk = average_size_check(a, b)
         # Armstrong's closed form, for every coprime pair
         armstrong = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) \
             * comb(a + b, a)
@@ -134,9 +143,27 @@ def test_compute_stats_against_subset_filter(family):
             rec.core_size_sum) == brute_stats(family)
 
 
-def test_compute_stats_guard():
-    with pytest.raises(EnumerationTooLargeError):
-        compute_stats(FamilyId(2, 0, 20), max_poset_size=30)
+def forbidden(*args):
+    raise AssertionError("called before the guard")
+
+
+def test_compute_stats_guard(monkeypatch, capsys):
+    # The grid commands refuse an over-limit --m or grid before computing
+    # anything: neither the statistics nor the series may be called.
+    for module in ("simcores.cli", "simcores.stats", "simcores.series"):
+        module = importlib.import_module(module)
+        for name in ("compute_stats", "stat_series"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for command in ("stats", "recursions", "cross-check"):
+        for m, max_n, message in [(41, 1, "--m is 41"),
+                                  (4000, 1, "--m is 4000"),
+                                  (1000000, 0, "--m is 1000000"),
+                                  (6, 41, "m=6, n<=41 grid is 426195")]:
+            code = cli.main([command, "--m", str(m), "--max-n", str(max_n)])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", (command, m, max_n)
+            assert message in err and "above the guard" in err
 
 
 def test_core_count_examples():
@@ -164,18 +191,34 @@ def test_average_size_check_examples():
     assert chk.total == 0 and chk.rhs == 0 and chk.matches
 
 
-def test_average_size_check_guard():
-    with pytest.raises(EnumerationTooLargeError):
-        average_size_check(11, 14)
-    with pytest.raises(EnumerationTooLargeError):
-        average_size_check(3, 7, max_poset_size=5)
-    assert average_size_check(3, 7, max_poset_size=None).matches
+def test_average_size_check_guard(monkeypatch, capsys):
+    # the library takes any pair and rejects only a bad one ...
+    assert average_size_check(11, 14).matches
+    with pytest.raises(NonCoprimeError):
+        average_size_check(4, 6)
+    with pytest.raises(ValueError, match="positive"):
+        average_size_check(0, 5)
+    # ... and `cores` guards the parts it would list, gaps times cores,
+    # before any work: (3, 700) would list 699 * 82,017 parts
+    assert cli.MAX_LISTED_GAPS * (cli.MAX_LISTED_GAPS + 1) \
+        <= cli.MAX_LISTED_PARTS \
+        < (cli.MAX_LISTED_GAPS + 1) * (cli.MAX_LISTED_GAPS + 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "average_size_check", forbidden)
+        assert cli.main(["cores", "--a", "3", "--b", "700"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "(3, 700)-core listing is 57329883, above " \
+            "the guard of 6250000" in err
+    # a chain of 1001 gaps has only 1002 cores: 1,003,002 parts
+    assert cli.main(["cores", "--a", "2", "--b", "2003"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.startswith("(2, 2003)-cores: 1002\n")
 
 
 def test_average_size_check_long_chain():
     # the gap poset of (2, 2003) is a chain of 1001 elements, deeper than
     # Python's recursion limit
-    chk = average_size_check(2, 2003, max_poset_size=None)
+    chk = average_size_check(2, 2003)
     assert chk.count == 1002 and chk.matches
 
 
@@ -189,13 +232,13 @@ def test_is_slope_pair():
 
 
 def test_extended_average_size_report_mode():
-    # Pairs outside the slope family run in report mode: evaluated and
-    # printed, never asserted.
-    report = {}
-    for a, b in [(3, 5), (5, 7), (5, 8), (4, 7), (7, 9)]:
-        assert gcd(a, b) == 1 and not is_slope_pair(a, b)
-        report[(a, b)] = average_size_check(a, b).matches
-    print("extended average-size report:", report)
+    # Armstrong's formula holds for every coprime pair (Johnson,
+    # arXiv:1502.07675), not only for the slope family the paper proves
+    pairs = [(a, b) for b in range(2, 61) for a in range(1, b)
+             if gcd(a, b) == 1]
+    assert len(pairs) == 1101
+    mismatches = [p for p in pairs if not average_size_check(*p).matches]
+    assert mismatches == []
 
 
 def test_size_total_equals_partition_size_total():
