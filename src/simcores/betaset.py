@@ -12,7 +12,7 @@ from .partitions import check_partition
 
 
 class NotBetaSetError(ValueError):
-    """Raised when an integer set fails to decode to a valid partition."""
+    """Raised when a hook set's members are not distinct positive integers."""
 
 
 def partition_to_ideal(parts: Iterable[int]) -> frozenset[int]:
@@ -35,11 +35,8 @@ def _validated_descending(members: Iterable[int]) -> list[int]:
 def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     """The partition whose first-column hooks are exactly `members`."""
     hooks = _validated_descending(members)
-    r = len(hooks)
-    parts = tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
-    if any(p < 1 for p in parts):
-        raise NotBetaSetError(f"{sorted(hooks)} is not the hook set of a partition")
-    return parts
+    # r hooks give parts[i] = hooks[i] - (r - 1 - i), weakly down to hooks[-1] >= 1
+    return tuple(h + k for k, h in enumerate(hooks, 1 - len(hooks)))
 
 
 def size_via_ideal(members: Iterable[int]) -> int:

@@ -16,6 +16,7 @@ import os
 import sys
 
 from .betaset import ideal_to_partition
+from .partitions import canonical_order
 from .posets import FamilyId, gap_count, gap_poset, order_ideals, to_dot
 from .series import check_identities, cross_check
 from .stats import (EnumerationTooLargeError, average_size_check,
@@ -73,9 +74,8 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    poset = gap_poset(args.a, args.b)
-    cores = sorted((ideal_to_partition(members) for members in order_ideals(poset)),
-                   key=lambda p: (sum(p), tuple(-q for q in p)))
+    cores = canonical_order([ideal_to_partition(members)
+                             for members in order_ideals(gap_poset(args.a, args.b))])
     if args.format == "json":
         payload = {
             "a": args.a,
@@ -84,7 +84,7 @@ def _cmd_cores(args):
             "total_size": check.total,
             "average": str(check.average),
             "matches": check.matches,
-            "cores": [list(p) for p in cores],
+            "cores": cores,
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
@@ -108,8 +108,8 @@ def _cmd_poset(args):
         print(to_dot(poset))
     elif args.format == "json":
         print(json.dumps({"a": poset.a, "b": poset.b,
-                          "elements": list(poset.elements),
-                          "covers": [list(c) for c in poset.covers]}, indent=2))
+                          "elements": poset.elements,
+                          "covers": poset.covers}, indent=2))
     else:
         print(f"elements: {list(poset.elements)}")
         for hi, lo in poset.covers:

@@ -74,6 +74,14 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
+def canonical_order(cores: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Sort in place by size, then by descending parts, and return `cores`.
+    Of two partitions of one size neither is a proper prefix of the other."""
+    cores.sort(reverse=True)
+    cores.sort(key=sum)
+    return cores
+
+
 def enumerate_cores_bounded(forbidden: Iterable[int], max_size: int) -> list[tuple[int, ...]]:
     """Every partition of size <= max_size whose hooks avoid `forbidden`.
 
@@ -97,5 +105,4 @@ def enumerate_cores_bounded(forbidden: Iterable[int], max_size: int) -> list[tup
             if any(p - c + h in banned for c, h in enumerate(heights)):
                 continue
             stack.append(((p,) + parts, tuple(h + 1 for h in heights), size + p))
-    found.sort(key=lambda parts: (sum(parts), tuple(-q for q in parts)))
-    return [parts for parts in found if is_core(parts, banned)]
+    return [parts for parts in canonical_order(found) if is_core(parts, banned)]

@@ -9,6 +9,7 @@ p is floor(p / (n + 1))) drives all the statistics in this package.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd
 
 
@@ -154,13 +155,6 @@ def layer_index(family: FamilyId, p: int) -> int:
     return p // family.layer_divisor
 
 
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # A few entries: `order_ideals` reads each poset's masks once, and an
 # unbounded cache would keep every mask tuple alive for the process's life.
 @lru_cache(maxsize=16)
@@ -197,9 +191,11 @@ def order_ideals(poset: GapPoset) -> tuple[tuple[int, ...], ...]:
     cardinality and then lexicographically.
     """
     elems = poset.elements
-    ideals = [tuple(elems[i] for i in _bit_indices(mask))
+    # bin(mask)[:1:-1] is the mask's bits from bit 0 up, one character each
+    ideals = [tuple(compress(elems, map("1".__eq__, bin(mask)[:1:-1])))
               for mask in _ideal_masks(poset)]
-    ideals.sort(key=lambda members: (len(members), members))
+    ideals.sort()
+    ideals.sort(key=len)   # stable: lexicographic within each cardinality
     return tuple(ideals)
 
 

@@ -473,7 +473,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
 
 @dataclass(frozen=True)
 class CrossCheck:
-    """One coefficient compared against one brute-force total."""
+    """One series coefficient compared against one `compute_stats` total."""
 
     m: int
     j: int

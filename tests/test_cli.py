@@ -106,6 +106,40 @@ def test_poset_output_is_pinned(capsys, a, b, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == POSET_GOLDEN[(a, b, fmt)]
 
 
+# SHA-256 and length of the `cores` stdout, recorded before the canonical core
+# order had one definition.  These pairs have 12, 1,428 and 4,862 cores, so
+# many cores tie on size and the tie-break (descending parts) is exercised.
+CORES_GOLDEN = {
+    (3, 7, "plain"):
+        (213, "733982622ad061a0222ed4a8701624a33647eeca262d2cc0c7a6ef7804453ae4"),
+    (3, 7, "json"):
+        (552, "060c2251e13a6ab669ac9c241532907d58bd485cf6d9ae937a25da136153ac28"),
+    (3, 7, "csv"):
+        (105, "17ec443c4868c9d2793a963c944be13a5372d3cd3889a5b70a5d380e46aa12d1"),
+    (6, 13, "plain"):
+        (55441, "2f6725a91d917fc32b6b5adad343a202cf4e7ae47008db93e07c8213bddcad06"),
+    (6, 13, "json"):
+        (166678, "76752947301eee31b980c5d8321a1999b3c5214e5054925279a0bd61ede2961c"),
+    (6, 13, "csv"):
+        (39061, "ba572c646028d8e6fed7bfa5e4e49a62e11c2cbc2b2440ed706bcc6eddcbf009"),
+    (9, 10, "plain"):
+        (212222, "783caf156e0b6a819ff61a38e54d4161e0c714cee727eba2a6c7d4eda7cb3403"),
+    (9, 10, "json"):
+        (634037, "b4cc523efd098e2a4240c90d8cebc6246c3dcb46ad37c7caabcef1c01d4f9b88"),
+    (9, 10, "csv"):
+        (149789, "1457b07817d06b50356c96cf5bdc0411a155bb0a8fc4d0d58d8d1e8f989884cb"),
+}
+
+
+@pytest.mark.parametrize("a,b,fmt", sorted(CORES_GOLDEN))
+def test_cores_output_is_pinned(capsys, a, b, fmt):
+    code, out, _ = run(capsys, "cores", "--a", str(a), "--b", str(b),
+                       "--format", fmt)
+    data = out.encode()
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == CORES_GOLDEN[(a, b, fmt)]
+
+
 @pytest.mark.parametrize("command", ["cores", "poset"])
 def test_guard_is_checked_before_any_poset(capsys, command):
     limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]
@@ -256,6 +290,19 @@ def test_closed_stdout_exits_2_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = str(Path(simcores.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys; before = set(sys.modules); import simcores, simcores.cli; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, check=True).stdout.split()
+    assert "simcores" in out
+    assert [m for m in out if m != "simcores"
+            and m not in sys.stdlib_module_names] == []
 
 
 def exit_code(argv):

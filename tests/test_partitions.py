@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from simcores.partitions import (check_partition, conjugate,
+from simcores.partitions import (canonical_order, check_partition, conjugate,
                                  enumerate_cores_bounded, hook_lengths,
                                  is_core, partitions_of)
 
@@ -92,6 +92,16 @@ def test_enumerate_cores_bounded_canonical_order():
     cores = enumerate_cores_bounded({3, 7}, 20)
     keys = [(sum(p), tuple(-q for q in p)) for p in cores]
     assert keys == sorted(keys)
+
+
+@given(st.lists(st.sampled_from([p for n in range(13) for p in partitions_of(n)]),
+                max_size=60))
+def test_canonical_order_matches_key_sort(ps):
+    # the negated-parts key is the order's definition; the two stable sorts
+    # must reproduce it on any multiset of partitions, repeats included
+    expected = sorted(ps, key=lambda p: (sum(p), tuple(-q for q in p)))
+    assert canonical_order(ps) is ps
+    assert ps == expected
 
 
 @pytest.mark.parametrize("forbidden", [{1}, {2}, {3}, {2, 3}, {2, 5}, {3, 7},

@@ -118,9 +118,12 @@ def test_ideal_masks_cache_is_bounded():
 
 
 def test_order_ideals_canonical_order():
-    ideals = order_ideals(gap_poset(4, 9))
-    assert list(ideals) == sorted(ideals, key=lambda t: (len(t), t))
-    assert len(set(ideals)) == len(ideals)
+    pairs = [(a, b) for a, b in coprime_pairs(64) if gap_count(a, b) <= 30]
+    assert (6, 13) in pairs and (2, 61) in pairs
+    for a, b in pairs:
+        ideals = order_ideals(gap_poset(a, b))
+        assert list(ideals) == sorted(ideals, key=lambda t: (len(t), t)), (a, b)
+        assert len(set(ideals)) == len(ideals), (a, b)
 
 
 def test_family_poset_examples():
