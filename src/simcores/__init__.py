@@ -6,16 +6,16 @@ ideal statistics, and verifies the closed forms and identities they satisfy,
 up to and including the average-size formula, with no floating point.
 """
 
-from .betaset import (NotBetaSetError, ideal_to_partition, partition_to_ideal,
-                      size_via_ideal)
+from .betaset import (NotBetaSetError, core_partitions, ideal_to_partition,
+                      partition_to_ideal, size_via_ideal)
 from .partitions import (conjugate, enumerate_cores_bounded, hook_lengths,
                          is_core, partitions_of)
 from .posets import (ElementNotInPosetError, FamilyId, GapPoset,
                      InvalidFamilyError, IsomorphismInstance,
-                     IsomorphismReport, NonCoprimeError, above_prefix_iso,
-                     above_prefix_part, check_isomorphism, detached_iso,
-                     detached_part, family_poset, gap_poset, layer_index,
-                     minimal_elements, order_ideals, to_dot,
+                     IsomorphismReport, NonCoprimeError, abacus_runners,
+                     above_prefix_iso, above_prefix_part, check_isomorphism,
+                     detached_iso, detached_part, family_poset, gap_poset,
+                     layer_index, minimal_elements, order_ideals, to_dot,
                      trimmed_above_prefix_iso, trimmed_detached_iso,
                      trimmed_reflection_iso)
 from .series import (CrossCheck, DivisionByNonUnitError, IdentityCheck,

@@ -7,8 +7,10 @@ without decoding it.
 """
 
 from collections.abc import Iterable
+from operator import sub
 
 from .partitions import check_partition
+from .posets import abacus_runners, gap_count
 
 
 class NotBetaSetError(ValueError):
@@ -32,11 +34,43 @@ def _validated_descending(members: Iterable[int]) -> list[int]:
     return hooks
 
 
+def _from_descending(hooks: list[int]) -> tuple[int, ...]:
+    # r hooks give parts[i] = hooks[i] - (r - 1 - i), weakly down to hooks[-1] >= 1
+    return tuple(map(sub, hooks, range(len(hooks) - 1, -1, -1)))
+
+
 def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     """The partition whose first-column hooks are exactly `members`."""
-    hooks = _validated_descending(members)
-    # r hooks give parts[i] = hooks[i] - (r - 1 - i), weakly down to hooks[-1] >= 1
-    return tuple(h + k for k, h in enumerate(hooks, 1 - len(hooks)))
+    return _from_descending(_validated_descending(members))
+
+
+def core_partitions(a: int, b: int) -> list[tuple[int, ...]]:
+    """Every simultaneous (a, b)-core, in no particular order.
+
+    Walks the height sequences of `abacus_runners` with its own stack, so
+    no number of runners can exhaust the recursion limit, and turns each
+    ideal's members into a partition.  The cores of (a, b) are those of
+    (b, a), so the walk runs on the abacus of the smaller generator, which
+    has fewer runners to copy member tuples across.
+    """
+    gap_count(a, b)   # raises on a non-positive or non-coprime pair
+    a, b = min(a, b), max(a, b)
+    steps = []   # per runner: (t_k, t_k - t_{k-1}, its bottom gaps)
+    prev = 0
+    for t, r in abacus_runners(a, b):
+        steps.append((t, t - prev, tuple(range(r, r + a * t, a))))
+        prev = t
+    out = []
+    stack = [(0, 0, ())]   # (runner index, previous height, members so far)
+    while stack:
+        k, h, members = stack.pop()
+        if k == len(steps):
+            out.append(_from_descending(sorted(members, reverse=True)))
+            continue
+        t, d, gaps = steps[k]
+        for top in range(min(t, h + d) + 1):
+            stack.append((k + 1, top, members + gaps[:top]))
+    return out
 
 
 def size_via_ideal(members: Iterable[int]) -> int:

@@ -15,9 +15,9 @@ import json
 import os
 import sys
 
-from .betaset import ideal_to_partition
+from .betaset import core_partitions
 from .partitions import canonical_order
-from .posets import FamilyId, gap_count, gap_poset, order_ideals, to_dot
+from .posets import FamilyId, gap_count, gap_poset, to_dot
 from .series import check_identities, cross_check
 from .stats import (EnumerationTooLargeError, average_size_check,
                     compute_stats, core_count, verify_stat_recursions)
@@ -74,29 +74,33 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    cores = canonical_order([ideal_to_partition(members)
-                             for members in order_ideals(gap_poset(args.a, args.b))])
+    cores = canonical_order(core_partitions(args.a, args.b))
+    # the listing and the lattice-path transfer are independent routes
+    listed = len(cores), sum(map(sum, cores))
+    if listed != (check.count, check.total):
+        raise ArithmeticError(
+            f"the listing has {listed[0]} cores of total size {listed[1]}, the "
+            f"transfer counts {check.count} of total size {check.total}")
     if args.format == "json":
-        payload = {
-            "a": args.a,
-            "b": args.b,
-            "count": check.count,
-            "total_size": check.total,
-            "average": str(check.average),
-            "matches": check.matches,
-            "cores": cores,
-        }
-        print(json.dumps(payload, indent=2))
+        # json.dumps(payload, indent=2), written core by core
+        head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
+                           "total_size": check.total,
+                           "average": str(check.average),
+                           "matches": check.matches}, indent=2)
+        blocks = ("[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
+                  if p else "[]" for p in cores)
+        sys.stdout.write(head[:-2] + ',\n  "cores": [\n    ' + next(blocks))
+        sys.stdout.writelines(",\n    " + block for block in blocks)
+        sys.stdout.write("\n  ]\n}\n")
     elif args.format == "csv":
         _write_csv(["parts", "size"],
-                   [[" ".join(map(str, p)), sum(p)] for p in cores])
+                   ([" ".join(map(str, p)), sum(p)] for p in cores))
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
         print(f"average size: {check.average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for p in cores:
-            print(f"  {list(p)}")
+        sys.stdout.writelines(f"  {list(p)}\n" for p in cores)
     return 0 if check.matches else 1
 
 

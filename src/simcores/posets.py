@@ -85,6 +85,18 @@ def gap_count(a: int, b: int) -> int:
     return (a - 1) * (b - 1) // 2
 
 
+def abacus_runners(a: int, b: int) -> list[tuple[int, int]]:
+    """(t_k, r_k) = divmod(k*b, a) for the runners k = 1 .. a - 1 of
+    Anderson's a-abacus of the gaps of {a, b}.
+
+    Runner k holds the t_k gaps r_k + a*i (i < t_k).  An order ideal keeps
+    the bottom h_k gaps of every runner, where h_k <= h_{k-1} + t_k - t_{k-1}
+    (h_0 = t_0 = 0), because p - b sits t_k - t_{k-1} levels lower on runner
+    k - 1; every such height sequence with 0 <= h_k <= t_k is one ideal.
+    """
+    return [divmod(k * b, a) for k in range(1, a)]
+
+
 @lru_cache(maxsize=None)
 def gap_poset(a: int, b: int) -> GapPoset:
     """The poset of all positive integers outside the semigroup of {a, b}."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .posets import FamilyId, NonCoprimeError, gap_count
+from .posets import FamilyId, NonCoprimeError, abacus_runners, gap_count
 
 
 class EnumerationTooLargeError(RuntimeError):
@@ -20,13 +20,10 @@ def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
     """Totals over the order ideals of the gap poset of (a, b) with its
     bottom j layers removed, in one pass along Anderson's lattice paths.
 
-    On the a-abacus, runner k (1 <= k < a) holds the t_k = k*b // a gaps
-    k*b % a + a*i (i < t_k), and the level i of a gap is its layer p // a.
-    An ideal keeps the bottom h_k gaps of every runner, where
-    h_k <= h_{k-1} + t_k - t_{k-1} (h_0 = t_0 = 0), because p - b sits
-    t_k - t_{k-1} levels lower on runner k - 1.  The bottom j layers form a
-    down-set, so the ideals of the truncation are the ideals containing it:
-    h_k >= min(j, t_k), and only members at levels >= j count.
+    An ideal is a height sequence on the runners of `abacus_runners(a, b)`,
+    and the level i of a gap r_k + a*i is its layer p // a.  The bottom j
+    layers form a down-set, so the ideals of the truncation are the ideals
+    containing it: h_k >= min(j, t_k), and only members at levels >= j count.
 
     For each height of the current runner the pass carries the moments
     (count, sum s, sum s^2, sum of labels, sum of layers) of the paths
@@ -38,8 +35,7 @@ def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
     """
     cnt, s1, s2, lab, lay = [1], [0], [0], [0], [0]   # runner 0: height 0
     prev_t = prev_lo = 0
-    for k in range(1, a):
-        t, r = divmod(k * b, a)
+    for t, r in abacus_runners(a, b):
         lo = min(j, t)
         for v in (cnt, s1, s2, lab, lay):
             for i in range(len(v) - 2, -1, -1):

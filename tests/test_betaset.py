@@ -3,10 +3,13 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from simcores.betaset import (NotBetaSetError, ideal_to_partition,
-                              partition_to_ideal, size_via_ideal)
-from simcores.partitions import enumerate_cores_bounded, hook_lengths, is_core
-from simcores.posets import gap_poset, order_ideals
+from simcores.betaset import (NotBetaSetError, core_partitions,
+                              ideal_to_partition, partition_to_ideal,
+                              size_via_ideal)
+from simcores.partitions import (canonical_order, enumerate_cores_bounded,
+                                 hook_lengths, is_core)
+from simcores.posets import NonCoprimeError, gap_poset, order_ideals
+from simcores.stats import core_count
 
 
 def test_partition_to_ideal_worked_example():
@@ -80,3 +83,24 @@ def test_bijection_image_is_every_core():
             key=lambda p: (sum(p), tuple(-q for q in p)))
         bound = max(sum(p) for p in image)
         assert image == enumerate_cores_bounded({a, b}, bound), (a, b)
+
+
+def test_core_partitions_match_ideal_enumeration():
+    # every coprime pair with at most 40 gaps, in both orders, 1 included
+    pairs = [(a, b) for a in range(1, 82) for b in range(1, 82)
+             if gcd(a, b) == 1 and (a - 1) * (b - 1) <= 80]
+    assert len(pairs) == 371 and (2, 81) in pairs and (81, 1) in pairs
+    for a, b in pairs:
+        walked = canonical_order(core_partitions(a, b))
+        enumerated = canonical_order([ideal_to_partition(m)
+                                      for m in order_ideals(gap_poset(a, b))])
+        assert walked == enumerated, (a, b)
+        assert len(walked) == core_count(a, b), (a, b)
+        assert walked == canonical_order(core_partitions(b, a)), (a, b)
+
+
+def test_core_partitions_reject_bad_pairs():
+    with pytest.raises(NonCoprimeError):
+        core_partitions(4, 6)
+    with pytest.raises(ValueError, match="positive"):
+        core_partitions(0, 5)

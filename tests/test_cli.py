@@ -109,6 +109,8 @@ def test_poset_output_is_pinned(capsys, a, b, fmt):
 # SHA-256 and length of the `cores` stdout, recorded before the canonical core
 # order had one definition.  These pairs have 12, 1,428 and 4,862 cores, so
 # many cores tie on size and the tie-break (descending parts) is exercised.
+# (13, 6), recorded before cores were listed from the abacus heights, puts
+# the larger generator first: its CSV equals (6, 13)'s, having no a or b.
 CORES_GOLDEN = {
     (3, 7, "plain"):
         (213, "733982622ad061a0222ed4a8701624a33647eeca262d2cc0c7a6ef7804453ae4"),
@@ -128,6 +130,12 @@ CORES_GOLDEN = {
         (634037, "b4cc523efd098e2a4240c90d8cebc6246c3dcb46ad37c7caabcef1c01d4f9b88"),
     (9, 10, "csv"):
         (149789, "1457b07817d06b50356c96cf5bdc0411a155bb0a8fc4d0d58d8d1e8f989884cb"),
+    (13, 6, "plain"):
+        (55441, "0a42c64a818887ab3f9d0e4b2f5156f1d68b65a4423b1f685fd378cb3c3ce802"),
+    (13, 6, "json"):
+        (166678, "76fffa9de08cf064f0cc9c48b3395083b181dd0565f8b5f48c768ed245cef10e"),
+    (13, 6, "csv"):
+        (39061, "ba572c646028d8e6fed7bfa5e4e49a62e11c2cbc2b2440ed706bcc6eddcbf009"),
 }
 
 
@@ -265,6 +273,33 @@ def test_cores_long_chain_unsafe_limits(capsys):
     assert out.startswith("(2, 2003)-cores: 1002\n")
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cores_larger_generator_first(capsys, fmt):
+    # inside both guards, and the same cores as (2, 2003); the 2003-abacus
+    # would have 2,002 runners, more than Python's recursion limit
+    code, out, err = run(capsys, "cores", "--a", "2003", "--b", "2",
+                         "--format", fmt)
+    assert code == 0 and err == ""
+    _, swapped, _ = run(capsys, "cores", "--a", "2", "--b", "2003",
+                        "--format", fmt)
+    lines, swapped_lines = out.splitlines(), swapped.splitlines()
+    assert len(lines) > 1000
+    header_lines = {"plain": 1, "json": 3, "csv": 0}[fmt]   # lines naming a, b
+    assert lines[header_lines:] == swapped_lines[header_lines:]
+
+
+def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
+    # the listing and the lattice-path totals check each other before output
+    real = cli.core_partitions
+    monkeypatch.setattr(cli, "core_partitions", lambda a, b: real(a, b)[1:])
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "11 cores" in err and "12" in err
+        assert "Traceback" not in err
+
+
 def test_cores_mismatch_exits_1(capsys, monkeypatch):
     # a mismatch fails every pair, inside the slope family (3, 7) or not
     real = cli.average_size_check
@@ -276,15 +311,18 @@ def test_cores_mismatch_exits_1(capsys, monkeypatch):
         assert code == 1 and "matches closed form: no" in out
 
 
-def test_closed_stdout_exits_2_without_traceback():
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_closed_stdout_exits_2_without_traceback(fmt):
     src = str(Path(simcores.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # about 400 KB of output, far more than a pipe buffers
+    # 150-630 KB of output, far more than a pipe buffers
     proc = subprocess.Popen(
-        [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10"],
+        [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10",
+         "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"(9, 10)-cores: 4862\n"
+    assert proc.stdout.readline() == {"plain": b"(9, 10)-cores: 4862\n",
+                                      "json": b"{\n", "csv": b"parts,size\n"}[fmt]
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
