@@ -134,12 +134,13 @@ def _cmd_stats(args):
                          "core_size_sum": rec.core_size_sum})
     return _report(rows, args,
                    "m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
-                   "layers={layer_sum} sizes={core_size_sum}".format_map)
+                   "layers={layer_sum} sizes={core_size_sum}")
 
 
 def _report(rows, args, plain):
     """Print `rows` as JSON, CSV (header from the first row's keys) or one
-    `plain(row)` line each; exit 1 when a row carries a false "pass"."""
+    `plain.format_map(row)` line each, led by "ok   " or "FAIL " when the row
+    has a "pass" key; exit 1 when a row carries a false "pass"."""
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
@@ -147,7 +148,8 @@ def _report(rows, args, plain):
         _write_csv(header, [[r[k] for k in header] for r in rows])
     else:
         for r in rows:
-            print(plain(r))
+            mark = ("ok   " if r["pass"] else "FAIL ") if "pass" in r else ""
+            print(mark + plain.format_map(r))
     return 0 if all(r.get("pass", True) for r in rows) else 1
 
 
@@ -156,10 +158,7 @@ def _cmd_recursions(args):
     checks = verify_stat_recursions(args.m, args.max_n)
     rows = [{"name": c.name, "m": c.m, "n": c.n, "lhs": c.lhs, "rhs": c.rhs,
              "pass": c.passed} for c in checks]
-    return _report(rows, args,
-                   lambda r: "{} {} n={}: {} == {}".format(
-                       "ok  " if r["pass"] else "FAIL", r["name"], r["n"],
-                       r["lhs"], r["rhs"]))
+    return _report(rows, args, "{name} n={n}: {lhs} == {rhs}")
 
 
 def _cmd_series_verify(args):
@@ -170,10 +169,8 @@ def _cmd_series_verify(args):
              "effective_order": c.effective_order,
              "residual_max_abs": str(c.residual_max_abs),
              "pass": c.passed} for c in checks]
-    return _report(rows, args,
-                   lambda r: "{} {} (order {}): residual {}".format(
-                       "ok  " if r["pass"] else "FAIL", r["identity_name"],
-                       r["effective_order"], r["residual_max_abs"]))
+    return _report(rows, args, "{identity_name} (order {effective_order}): "
+                               "residual {residual_max_abs}")
 
 
 def _cmd_cross_check(args):
@@ -183,10 +180,8 @@ def _cmd_cross_check(args):
              "series_value": c.series_value,
              "enumerated_value": c.enumerated_value,
              "pass": c.passed} for c in checks]
-    return _report(rows, args,
-                   lambda r: "{} j={} n={} {}: {} == {}".format(
-                       "ok  " if r["pass"] else "FAIL", r["j"], r["n"],
-                       r["statistic"], r["series_value"], r["enumerated_value"]))
+    return _report(rows, args, "j={j} n={n} {statistic}: "
+                               "{series_value} == {enumerated_value}")
 
 
 def build_parser():

@@ -5,6 +5,7 @@ tuple is the empty partition.
 """
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 
 def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
@@ -20,10 +21,7 @@ def check_partition(parts: Iterable[int]) -> tuple[int, ...]:
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
     """Column lengths of the Young diagram (the transposed partition)."""
-    return _conjugate(check_partition(parts))
-
-
-def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    parts = check_partition(parts)
     if not parts:
         return ()
     cols = [0] * parts[0]
@@ -41,7 +39,7 @@ def hook_lengths(parts: Iterable[int]) -> list[list[int]]:
     0-indexed; row i has parts[i] entries).
     """
     parts = check_partition(parts)
-    cols = _conjugate(parts)
+    cols = conjugate(parts)
     return [[(p - j) + (cols[j] - i) - 1 for j in range(p)]
             for i, p in enumerate(parts)]
 
@@ -51,13 +49,7 @@ def is_core(parts: Iterable[int], forbidden: Iterable[int]) -> bool:
     banned = frozenset(forbidden)
     if not banned:
         raise ValueError("forbidden hook set must be nonempty")
-    parts = check_partition(parts)
-    cols = _conjugate(parts)
-    for i, p in enumerate(parts):
-        for j in range(p):
-            if (p - j) + (cols[j] - i) - 1 in banned:
-                return False
-    return True
+    return banned.isdisjoint(chain.from_iterable(hook_lengths(parts)))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -99,11 +99,10 @@ def abacus_runners(a: int, b: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def gap_poset(a: int, b: int) -> GapPoset:
-    """The poset of all positive integers outside the semigroup of {a, b}."""
+    """The poset of the gaps of {a, b}, read off `abacus_runners(a, b)`."""
     count = gap_count(a, b)
-    # Sylvester: each gap is a*b - x*a - y*b for exactly one x, y >= 1
-    gaps = tuple(sorted(g for x in range(1, b) for y in range(1, a)
-                        if (g := a * b - x * a - y * b) > 0))
+    gaps = tuple(sorted(r + a * i for t, r in abacus_runners(a, b)
+                        for i in range(t)))
     assert len(gaps) == count
     return GapPoset(a, b, gaps)
 
@@ -144,20 +143,21 @@ class FamilyId:
 
     @property
     def layer_divisor(self) -> int:
-        """Denominator of the layer statistic on this poset's elements."""
+        """The a of the gap poset of (a, m*a + 1) whose bottom j layers this
+        family drops, and so the denominator of the layer statistic."""
         return self.n if self.j == 0 else self.n + 1
 
 
 @lru_cache(maxsize=None)
 def family_poset(family: FamilyId) -> GapPoset:
     """Materialize the poset named by `family`, with original labels."""
-    m, j, n = family.m, family.j, family.n
+    m, j, a = family.m, family.j, family.layer_divisor
+    if a == 0:   # n = j = 0: the empty poset
+        return GapPoset(1, m + 1, ())
+    poset = gap_poset(a, m * a + 1)
     if j == 0:
-        if n == 0:
-            return GapPoset(1, m + 1, ())
-        return gap_poset(n, m * n + 1)
-    big = gap_poset(n + 1, m * (n + 1) + 1)
-    return induced_subposet(big, (p for p in big.elements if p // (n + 1) >= j))
+        return poset
+    return induced_subposet(poset, (p for p in poset.elements if p // a >= j))
 
 
 def layer_index(family: FamilyId, p: int) -> int:
@@ -257,12 +257,9 @@ class IsomorphismReport:
 def check_isomorphism(source: GapPoset, target: GapPoset, mapping) -> IsomorphismReport:
     """Verify that `mapping` is an order isomorphism from source onto target.
 
-    `mapping` may be a dict or a callable on source elements.  Failures are
-    reported with a witness rather than raised, so a broken map is a test
-    diagnostic, not a crash.
+    `mapping` is a dict.  Failures are reported with a witness rather than
+    raised, so a broken map is a test diagnostic, not a crash.
     """
-    if callable(mapping):
-        mapping = {p: mapping(p) for p in source.elements}
     for p in source.elements:
         if p not in mapping:
             return IsomorphismReport(False, f"map not total: no image for {p}")

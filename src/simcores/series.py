@@ -31,8 +31,9 @@ class IntegralityViolationError(ArithmeticError):
 
 
 def _exact(value) -> int | Fraction:
-    """`value` as an int when it is whole, else as a Fraction."""
-    value = Fraction(value)
+    """An int or Fraction as an int when whole; anything else is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
     return value.numerator if value.denominator == 1 else value
 
 

@@ -81,6 +81,8 @@ def compute_stats(family: FamilyId) -> StatRecord:
 
 def core_count(a: int, b: int) -> int:
     """Number of simultaneous (a, b)-cores, by the closed binomial form."""
+    if a < 0 or b < 0:
+        raise ValueError("generators must be nonnegative")
     if gcd(a, b) != 1:
         raise NonCoprimeError(f"gcd({a}, {b}) != 1; infinitely many cores")
     q, rem = divmod(comb(a + b, a), a + b)
@@ -111,11 +113,11 @@ class AverageSizeCheck:
 
 
 def average_size_check(a: int, b: int) -> AverageSizeCheck:
-    """Sum the sizes of all (a, b)-cores and compare with
-    (a-1)(b-1)(a+b+1)/(24(a+b)) * binom(a+b, a), exactly."""
+    """Sum the sizes of all (a, b)-cores by the lattice-path transfer and
+    compare with Armstrong's (a-1)(b-1)(a+b+1)/24 * core_count(a, b)."""
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
     count, _, _, total = _path_totals(a, b)
-    rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) * comb(a + b, a)
+    rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24) * core_count(a, b)
     return AverageSizeCheck(a, b, count, total, rhs,
                             Fraction(total, count), total == rhs)
 

@@ -149,8 +149,13 @@ def test_cores_output_is_pinned(capsys, a, b, fmt):
 
 
 @pytest.mark.parametrize("command", ["cores", "poset"])
-def test_guard_is_checked_before_any_poset(capsys, command):
+def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
     limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]
+    if command == "cores":   # cores builds no poset, so no work may start
+        def no_work(*args):
+            raise AssertionError("cores worked before its guards")
+        for name in ("core_count", "average_size_check", "core_partitions"):
+            monkeypatch.setattr(cli, name, no_work)
     gap_poset.cache_clear()   # so an earlier case cannot have built it
     misses = gap_poset.cache_info().misses
     code, out, err = run(capsys, command, "--a", "700", "--b", "701")
@@ -245,9 +250,10 @@ def test_report_exit_one_on_failure(capsys):
         format = "plain"
 
     rows = [{"name": "demo", "pass": True}, {"name": "demo2", "pass": False}]
-    code = _report(rows, Args(), lambda r: r["name"])
-    capsys.readouterr()
+    code = _report(rows, Args(), "{name}")
+    out, _ = capsys.readouterr()
     assert code == 1
+    assert out == "ok   demo\nFAIL demo2\n"
 
 
 def test_usage_error_exits_2():
@@ -265,10 +271,19 @@ def test_byte_determinism_of_reports(capsys):
     assert len(outputs) == 1
 
 
-def test_cores_long_chain_unsafe_limits(capsys):
-    # a chain of 1001 elements, deeper than Python's recursion limit
-    code, out, _ = run(capsys, "cores", "--a", "2", "--b", "2003",
-                       "--unsafe-limits")
+def test_cores_long_chain_unsafe_limits(capsys, monkeypatch):
+    # a chain of 1001 elements, deeper than Python's recursion limit, under
+    # guards lowered below its 1,001 gaps and 1,003,002 listed parts
+    argv = ("cores", "--a", "2", "--b", "2003")
+    monkeypatch.setattr(cli, "MAX_LISTED_PARTS", 1_003_001)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "part count of the (2, 2003)-core listing is 1003002" in err
+    monkeypatch.setattr(cli, "MAX_LISTED_GAPS", 1_000)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "gap poset of (2, 2003) is 1001, above the guard of 1000" in err
+    code, out, _ = run(capsys, *argv, "--unsafe-limits")
     assert code == 0
     assert out.startswith("(2, 2003)-cores: 1002\n")
 

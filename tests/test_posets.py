@@ -89,6 +89,17 @@ def test_gap_count_formula():
         gap_count(0, 5)
 
 
+def test_gap_set_matches_sylvester():
+    # Sylvester: each gap is a*b - x*a - y*b for exactly one x, y >= 1
+    pairs = [(a, b) for a in range(1, 122) for b in range(1, 122)
+             if gcd(a, b) == 1 and (a - 1) * (b - 1) // 2 <= 60]
+    assert (2, 121) in pairs and (121, 2) in pairs and (11, 13) in pairs
+    for a, b in pairs:
+        sylvester = sorted(g for x in range(1, b) for y in range(1, a)
+                           if (g := a * b - x * a - y * b) > 0)
+        assert list(gap_poset(a, b).elements) == sylvester, (a, b)
+
+
 def test_order_ideals_examples():
     assert order_ideals(gap_poset(2, 5)) == ((), (1,), (1, 3))
     assert order_ideals(gap_poset(1, 7)) == ((),)
@@ -131,6 +142,25 @@ def test_family_poset_examples():
     assert family_poset(FamilyId(2, 0, 4)) == gap_poset(4, 9)
     assert family_poset(FamilyId(3, 2, 1)).elements == (5,)
     assert family_poset(FamilyId(2, 0, 0)).elements == ()
+
+
+def _branchwise_family_poset(m, j, n):
+    """The family poset built branch by branch, from n rather than from
+    the layer divisor."""
+    if j == 0:
+        if n == 0:
+            return GapPoset(1, m + 1, ())
+        return gap_poset(n, m * n + 1)
+    big = gap_poset(n + 1, m * (n + 1) + 1)
+    return induced_subposet(big, (p for p in big.elements if p // (n + 1) >= j))
+
+
+def test_family_poset_matches_branchwise_construction():
+    for m in range(1, 7):
+        for j in range(m):
+            for n in range(9):
+                expected = _branchwise_family_poset(m, j, n)
+                assert family_poset(FamilyId(m, j, n)) == expected, (m, j, n)
 
 
 def test_family_poset_rejects_bad_index():

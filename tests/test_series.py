@@ -24,6 +24,16 @@ def test_mul_example():
     assert f == series([1, 0, -1, 0])
 
 
+def test_constructors_reject_floats():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        series([0.1])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        constant(0.5, 3)
+    whole = series([Fraction(4, 2), Fraction(1, 3), True])
+    assert whole.coeffs == (2, Fraction(1, 3), 1)
+    assert type(whole[0]) is int and type(whole[2]) is int
+
+
 def test_derivative_example():
     f = series([1, 1, 3, 12])
     assert f.derivative() == series([1, 6, 36])

@@ -173,6 +173,10 @@ def test_core_count_examples():
         assert core_count(1, b) == 1
     with pytest.raises(NonCoprimeError):
         core_count(6, 4)
+    assert core_count(0, 1) == 1   # fuss_catalan_number(m, 0) relies on it
+    for a, b in ((3, -1), (1, -1), (-1, 2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            core_count(a, b)
 
 
 def test_core_count_matches_plain_family_counts():
