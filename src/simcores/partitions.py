@@ -44,12 +44,16 @@ def hook_lengths(parts: Iterable[int]) -> list[list[int]]:
             for i, p in enumerate(parts)]
 
 
-def is_core(parts: Iterable[int], forbidden: Iterable[int]) -> bool:
-    """True when no hook length of the partition lies in `forbidden`."""
+def _hook_set(forbidden: Iterable[int]) -> frozenset[int]:
     banned = frozenset(forbidden)
     if not banned:
         raise ValueError("forbidden hook set must be nonempty")
-    return banned.isdisjoint(chain.from_iterable(hook_lengths(parts)))
+    return banned
+
+
+def is_core(parts: Iterable[int], forbidden: Iterable[int]) -> bool:
+    """True when no hook length of the partition lies in `forbidden`."""
+    return _hook_set(forbidden).isdisjoint(chain.from_iterable(hook_lengths(parts)))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -86,7 +90,7 @@ def enumerate_cores_bounded(forbidden: Iterable[int], max_size: int) -> list[tup
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    banned = frozenset(forbidden)
+    banned = _hook_set(forbidden)
     found = []
     stack = [((), (), 0)]   # (parts top row first, column heights, size)
     while stack:

@@ -158,13 +158,15 @@ def series(values, order: int | None = None) -> TruncatedSeries:
     """Build a series from coefficients, zero-padded or cut to `order`."""
     coeffs = [_exact(v) for v in values]
     if order is not None:
+        if order < 0:
+            raise ValueError("order must be >= 0")
         coeffs = (coeffs + [0] * (order + 1 - len(coeffs)))[:order + 1]
-    if not coeffs:
-        coeffs = [0]
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(tuple(coeffs) or (0,))
 
 
 def constant(value, order: int) -> TruncatedSeries:
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return TruncatedSeries((_exact(value),) + (0,) * order)
 
 
@@ -175,20 +177,12 @@ def fuss_catalan_number(m: int, n: int) -> int:
 
 
 def fuss_catalan_series(m: int, order: int) -> TruncatedSeries:
-    """The unique series F with F(0) = 1 and x*F**(m+1) - F + 1 = 0.
-
-    Fixed-point iteration F <- 1 + x * F**(m+1); each pass settles at least
-    one further coefficient, so `order + 1` passes always suffice.
-    """
+    """The count series F = sum of fuss_catalan_number(m, n) x**n through
+    x**order.  It is the unique series with F(0) = 1 and
+    x*F**(m+1) - F + 1 = 0, which the ledger's `defining-equation` checks."""
     if m < 1 or order < 0:
         raise ValueError("need m >= 1 and order >= 0")
-    f = constant(1, order)
-    for _ in range(order + 1):
-        nxt = ((f ** (m + 1)).shift(1) + 1).truncate(order)
-        if nxt == f:
-            break
-        f = nxt
-    return f
+    return series([fuss_catalan_number(m, n) for n in range(order + 1)])
 
 
 def _require_integral(f: TruncatedSeries, label: str) -> TruncatedSeries:
@@ -219,7 +213,7 @@ class SeriesBundle:
 
 
 def stat_series(m: int, order: int) -> SeriesBundle:
-    """Build every statistic series from the defining fixed point.
+    """Build every statistic series from the count series F.
 
     The member and layer series come from their closed forms; the size
     series for the truncated posets are chained down from the top relation,
@@ -340,8 +334,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
                                  None, True, "definitional"))
 
     add("defining-equation", (F ** (m + 1)).shift(1) - F + 1)
-    add("closed-form-count",
-        F - series([fuss_catalan_number(m, n) for n in range(order + 1)]))
+    built("closed-form-count", F)
     for j in range(1, m):
         built(f"trimmed-count-power[j={j}]", b.count_trimmed[j])
 
@@ -395,16 +388,14 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
         add("member-join-relation",
             T[0] - ((F * T[1]).shift(1) + m * (Fp * F ** m).shift(2)
                     + (F ** m * T[0]).shift(1)))
-        add("member-top-relation", T[m - 1] - (2 * F * T[0] + (Fp * F).shift(1)))
+        built("member-top-relation", T[m - 1])
         for j in range(1, m - 1):
             add(f"member-step-relation[j={j}]",
                 T[j] - (F * T[j + 1] + (m - j) * (Fp * F ** (m - j)).shift(1)
                         + F ** (m - j) * T[0]))
         add("layer-join-relation",
             R[0] - ((F * R[1]).shift(1) + (F ** m * R[0]).shift(1)))
-        add("layer-top-relation",
-            R[m - 1] - (2 * F * R[0] + (2 * m - 1) * F * T[0]
-                        + (m - 1) * (Fp * F).shift(1)))
+        built("layer-top-relation", R[m - 1])
         for j in range(1, m - 1):
             add(f"layer-step-relation[j={j}]",
                 R[j] - (F * R[j + 1] + j * F ** (m - j) * T[0]
@@ -489,10 +480,12 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     """Compare series coefficients with `compute_stats`, statistic by
     statistic, on every truncation j < m and every n <= n_max.
 
-    The two sides are computed by unrelated code paths (a fixed-point series
+    The two sides are computed by unrelated code paths (a Fuss-Catalan series
     against a lattice-path transfer over the abacus of each poset), so
     agreement here is the package's strongest oracle.
     """
+    if m < 1 or n_max < 0:
+        raise ValueError("need m >= 1 and n_max >= 0")
     bundle = stat_series(m, n_max + 3)
     out = []
     for j in range(m):

@@ -143,6 +143,8 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     the layer and size recursions mix adjacent layers of the truncation and
     need m >= 2, so the degenerate report contains just those two families.
     """
+    if m < 1 or n_max < 0:
+        raise ValueError("need m >= 1 and n_max >= 0")
     recs = {}
     for j in range(m):
         for n in range(n_max + 1):

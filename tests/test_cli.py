@@ -148,6 +148,49 @@ def test_cores_output_is_pinned(capsys, a, b, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == CORES_GOLDEN[(a, b, fmt)]
 
 
+# SHA-256 and length of the `series-verify` stdout, recorded while the count
+# series was still the fixed point of x*F**(m+1) - F + 1 = 0, before it was
+# read off the Fuss-Catalan numbers.  m = 1 has no truncations, m = 2 adds
+# the slope-two entries, and m = 6 runs the step chains; order 40 is the
+# largest the guard admits.
+SERIES_VERIFY_GOLDEN = {
+    (1, 24, "plain"):
+        (591, "edcfc102a3ab6dcdf363cec79a50ee74c453979ebd75b9207795a83554a5fb58"),
+    (1, 24, "json"):
+        (1674, "561e445ce1d4a5ee1f69a2044525d09b291d4a0db31c3e3215472ef4530fe67f"),
+    (1, 24, "csv"):
+        (453, "be2d3bbb9e871eeebd51acbac279accce43b13eee106c9d209bbe5150b364918"),
+    (2, 24, "plain"):
+        (1752, "9d3a28b365975ecdacaf74ddfed73e29c7ec274e3e6de7df11915280bde21f3b"),
+    (2, 24, "json"):
+        (4905, "49f64e069ff76ef3877d5a04141158433c3f592cd60aa8f24e28189f8183d26a"),
+    (2, 24, "csv"):
+        (1246, "ee6ad60661c8e597387809810ca920eee9bac1829ead81ca206cb26472a8e460"),
+    (6, 24, "plain"):
+        (2292, "a73d2580bd0701a1d4a201626a165d9567d1782f161ce463d6cac7f8cca41f17"),
+    (6, 24, "json"):
+        (6345, "c4aaf8fca72a14f9b65205f7ec8610437c80e5c6b7737a8eea53909addebae97"),
+    (6, 24, "csv"):
+        (1626, "50ca8c34f210f2845c06c23914ec05946e755908c63472431eda9268250c31c6"),
+    (6, 40, "plain"):
+        (2292, "7d78be631e71916d9c7b867915ed19de49217055366a316f9c97b2d108f7f64c"),
+    (6, 40, "json"):
+        (6345, "eecd1690eba03eec897770f1183ef2f17f18461f4c3ccb50548ae4056d3c6060"),
+    (6, 40, "csv"):
+        (1626, "5c60c0ad6008f6ee2068e3c13bcaeb268ed2f3144f0e731ed777e65ad1e25024"),
+}
+
+
+@pytest.mark.parametrize("m,order,fmt", sorted(SERIES_VERIFY_GOLDEN))
+def test_series_verify_output_is_pinned(capsys, m, order, fmt):
+    code, out, _ = run(capsys, "series-verify", "--m", str(m),
+                       "--order", str(order), "--format", fmt)
+    data = out.encode()
+    assert code == 0
+    assert ((len(data), hashlib.sha256(data).hexdigest())
+            == SERIES_VERIFY_GOLDEN[(m, order, fmt)])
+
+
 @pytest.mark.parametrize("command", ["cores", "poset"])
 def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
     limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]

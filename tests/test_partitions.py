@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from simcores import partitions
 from simcores.partitions import (canonical_order, check_partition, conjugate,
                                  enumerate_cores_bounded, hook_lengths,
                                  is_core, partitions_of)
@@ -86,6 +87,14 @@ def test_enumerate_cores_bounded_small():
     assert enumerate_cores_bounded({2, 5}, 10) == [(), (1,), (2, 1)]
     assert enumerate_cores_bounded({3, 7}, 0) == [()]
     assert len(enumerate_cores_bounded({3, 7}, 20)) == 12
+
+
+def test_enumerate_cores_bounded_checks_forbidden_before_searching(monkeypatch):
+    def searched(cores):
+        raise AssertionError("searched before checking the forbidden set")
+    monkeypatch.setattr(partitions, "canonical_order", searched)
+    with pytest.raises(ValueError, match="forbidden hook set must be nonempty"):
+        enumerate_cores_bounded([], 5)
 
 
 def test_enumerate_cores_bounded_canonical_order():

@@ -34,6 +34,15 @@ def test_constructors_reject_floats():
     assert type(whole[0]) is int and type(whole[2]) is int
 
 
+def test_constructors_reject_negative_order():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        series([1, 2, 3], -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        constant(5, -1)
+    assert series([1, 2, 3], 0) == constant(1, 0)
+    assert series([]) == constant(0, 0)
+
+
 def test_derivative_example():
     f = series([1, 1, 3, 12])
     assert f.derivative() == series([1, 6, 36])
@@ -103,8 +112,10 @@ def test_fuss_catalan_closed_form_agrees():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("order", [0, 5, 12, 20])
+@pytest.mark.parametrize("order", [0, 5, 12, 20, 40])
 def test_defining_equation_residual_zero(m, order):
+    # F is read off the Fuss-Catalan numbers; the functional equation is the
+    # independent oracle that it is the fixed point of 1 + x*F**(m+1)
     f = fuss_catalan_series(m, order)
     residual = (f ** (m + 1)).shift(1) - f + 1
     assert residual.is_zero
@@ -205,14 +216,15 @@ def test_identity_ledger_kinds(m):
     # residual that was actually evaluated
     checks = check_identities(m, 12)
     steps = range(1, m)
-    definitional = ({"member-bottom-closed-form", "layer-bottom-closed-form",
-                     "size-bottom-closed-form"}
+    definitional = ({"closed-form-count", "member-bottom-closed-form",
+                     "layer-bottom-closed-form", "size-bottom-closed-form"}
                     | {f"trimmed-count-power[j={j}]" for j in steps}
                     | {f"member-closed-form[j={j}]" for j in steps}
                     | {f"layer-closed-form[j={j}]" for j in steps}
                     | {f"size-step-relation[j={j}]" for j in range(1, m - 1)})
     if m >= 2:
-        definitional.add("size-top-relation")
+        definitional |= {"member-top-relation", "layer-top-relation",
+                         "size-top-relation"}
     assert {c.identity for c in checks if c.kind == "definitional"} == definitional
     assert all(c.kind == "derived" for c in checks
                if c.identity not in definitional)

@@ -106,6 +106,15 @@ def test_guard_size_is_family_size(monkeypatch):
                     cli._guard_grid(args)
 
 
+@pytest.mark.parametrize("check,m,n_max", [(verify_stat_recursions, 0, 3),
+                                            (verify_stat_recursions, 2, -1),
+                                            (cross_check, 2, -1)])
+def test_grid_checks_refuse_an_empty_or_invalid_grid(check, m, n_max):
+    # an empty grid would pass all(...) vacuously, and m = 0 has no slope
+    with pytest.raises(ValueError, match=r"^need m >= 1 and n_max >= 0$"):
+        check(m, n_max)
+
+
 def test_checks_past_the_guard():
     for m in range(1, 7):
         checks = cross_check(m, 40)
