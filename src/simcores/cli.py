@@ -10,7 +10,6 @@ the report is written (`simcores ... | head`).
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -57,12 +56,6 @@ def _int_at_least(low):
     return integer
 
 
-def _write_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def _cmd_cores(args):
     # Each core's hook set is an ideal of the gaps, so a listing has at most
     # gaps * core_count parts.  g gaps have g + 1 ideals or more: the gap
@@ -93,8 +86,11 @@ def _cmd_cores(args):
         sys.stdout.writelines(",\n    " + block for block in blocks)
         sys.stdout.write("\n  ]\n}\n")
     elif args.format == "csv":
-        _write_csv(["parts", "size"],
-                   ([" ".join(map(str, p)), sum(p)] for p in cores))
+        # CSV by hand, here and in `_report`: no field holds a comma, a
+        # quote or a newline, so none needs quoting
+        sys.stdout.write("parts,size\n")
+        sys.stdout.writelines(f"{' '.join(map(str, p))},{sum(p)}\n"
+                              for p in cores)
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
@@ -144,8 +140,9 @@ def _report(rows, args, plain):
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
-        header = list(rows[0]) if rows else []
-        _write_csv(header, [[r[k] for k in header] for r in rows])
+        print(",".join(rows[0]) if rows else "")
+        for r in rows:
+            print(",".join(map(str, r.values())))
     else:
         for r in rows:
             mark = ("ok   " if r["pass"] else "FAIL ") if "pass" in r else ""

@@ -51,12 +51,14 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
         return TruncatedSeries(self.coeffs[:order + 1])
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x**k; the trusted order grows by k."""
+        if k < 0:
+            raise ValueError(f"cannot shift by x**{k}")
         return TruncatedSeries((0,) * k + self.coeffs)
 
     def derivative(self) -> "TruncatedSeries":
@@ -130,15 +132,10 @@ class TruncatedSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are spelled as division by a unit series")
-        out = constant(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        if e < 2:
+            return self if e else constant(1, self.order)
+        half = self ** (e // 2)
+        return half * half * self if e & 1 else half * half
 
     @property
     def is_zero(self) -> bool:
@@ -216,9 +213,9 @@ def stat_series(m: int, order: int) -> SeriesBundle:
     """Build every statistic series from the count series F.
 
     The member and layer series come from their closed forms; the size
-    series for the truncated posets are chained down from the top relation,
-    which leaves the bottom join relation as an independent consistency
-    check in `check_identities`.
+    series for the truncated posets are chained down from the plain poset
+    read as truncation m (see `verify_stat_recursions`), which leaves the
+    bottom join relation as an independent check in `check_identities`.
     """
     if order < 3:
         raise ValueError("order must be >= 3")
@@ -256,19 +253,14 @@ def stat_series(m: int, order: int) -> SeriesBundle:
           - comb(m + 1, 2) * (F ** (m - 1) * t0 * t0).shift(1)) / denom
     size = {0: _require_integral(g0, "size series j=0")}
     if m >= 2:
+        # truncation m: the plain poset relabelled, as in verify_stat_recursions
         t0p = t0.derivative()
-        size[m - 1] = (2 * F * g0 + 2 * (Fp * r0).shift(1) + 2 * F * r0
-                       + (2 * m + 1) * F * t0 + (2 * m - 1) * (Fp * t0).shift(1)
-                       + (2 * m - 2) * (F * t0p).shift(1)
-                       + (2 * m - 1) * (Fp * F).shift(1)
-                       + (m - 1) * (Fpp * F).shift(2)
-                       + (m - 1) * (Fp * Fp).shift(2)
-                       - t0 * t0)
-        for j in range(m - 2, 0, -1):
+        tnext, rnext = t0, r0 + m * t0
+        gnext = g0 + r0 + (m + 1) * t0 + m * t0p.shift(1)
+        for j in range(m - 1, 0, -1):
             q = m - j
-            tnextp = member[j + 1].derivative()
-            size[j] = (F * size[j + 1] + (Fp * layer[j + 1]).shift(1)
-                       - (F * tnextp).shift(1)
+            size[j] = (F * gnext + (Fp * rnext).shift(1)
+                       - (F * tnext.derivative()).shift(1)
                        + F ** q * g0 + F ** q * r0
                        + (m - j) * (Fp * F ** (q - 1) * r0).shift(1)
                        + (j + 1) * F ** q * t0
@@ -277,9 +269,9 @@ def stat_series(m: int, order: int) -> SeriesBundle:
                        + (2 * j + 1) * (m - j) * (Fp * F ** q).shift(1)
                        + j * (m - j) * (Fpp * F ** q).shift(2)
                        + j * (m - j) ** 2 * (Fp * Fp * F ** (q - 1)).shift(2)
-                       - t0 * member[j + 1])
-        for j in range(1, m):
+                       - t0 * tnext)
             _require_integral(size[j], f"size series j={j}")
+            tnext, rnext, gnext = member[j], layer[j], size[j]
     return SeriesBundle(m, F, trimmed, member, layer, size, denom)
 
 

@@ -138,7 +138,10 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     """Check the convolution recursions of the four statistics against
     the totals of `compute_stats`, for all n <= n_max.
 
-    Superscripts wrap modulo m, so index m means the plain posets again.
+    Index m is the gap poset of (n, m*n + 1) read as truncation m of that
+    of (n + 1, m*(n + 1) + 1): its runner k is runner k + 1 there, and each
+    member's layer rises by m and its label by 1 + m*(n + 1) + its plain
+    layer.  So the "-top" rows are the step formulas at j = m - 1.
     For m = 1 only the count and member recursions survive the collapse;
     the layer and size recursions mix adjacent layers of the truncation and
     need m >= 2, so the degenerate report contains just those two families.
@@ -148,17 +151,24 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     recs = {}
     for j in range(m):
         for n in range(n_max + 1):
-            recs[(j, n)] = compute_stats(FamilyId(m, j, n))
+            s = compute_stats(FamilyId(m, j, n))
+            recs[j, n] = s.ideal_count, s.member_sum, s.layer_sum, s.core_size_sum
+    for n in range(n_max + 1):
+        a, t, r, g = recs[0, n]
+        recs[m, n] = a, t, r + m * t, g + r + (m * (n + 1) + 1) * t
 
-    def A(j, n): return recs[(j % m, n)].ideal_count
-    def T(j, n): return recs[(j % m, n)].member_sum
-    def R(j, n): return recs[(j % m, n)].layer_sum
-    def G(j, n): return recs[(j % m, n)].core_size_sum
+    def A(j, n): return recs[j, n][0]
+    def T(j, n): return recs[j, n][1]
+    def R(j, n): return recs[j, n][2]
+    def G(j, n): return recs[j, n][3]
 
     checks = []
 
     def add(name, n, lhs, rhs):
         checks.append(RecursionCheck(name, m, n, lhs, rhs, lhs == rhs))
+
+    def step(stat, j):
+        return f"{stat}-top" if j == m - 1 else f"{stat}-step[j={j}]"
 
     for n in range(n_max + 1):
         add("count-join", n, A(0, n),
@@ -169,28 +179,20 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
         add("member-join", n, T(0, n),
             sum(T(1, i) * A(0, n - i - 1) + i * A(1, i) * A(0, n - i - 1)
                 + A(1, i) * T(0, n - i - 1) for i in range(n)))
-        if m < 2:
-            continue
-        for j in range(1, m - 1):
-            add(f"member-step[j={j}]", n, T(j, n),
+        for j in range(1, m):
+            add(step("member", j), n, T(j, n),
                 sum(T(j + 1, i) * A(0, n - i) + i * A(j + 1, i) * A(0, n - i)
                     + A(j + 1, i) * T(0, n - i) for i in range(n + 1)))
-        add("member-top", n, T(m - 1, n),
-            sum(T(0, i) * A(0, n - i) + i * A(0, i) * A(0, n - i)
-                + A(0, i) * T(0, n - i) for i in range(n + 1)))
+        if m < 2:
+            continue
         add("layer-join", n, R(0, n),
             sum(A(0, n - i - 1) * R(1, i) + A(1, i) * R(0, n - i - 1)
                 for i in range(n)))
-        for j in range(1, m - 1):
-            add(f"layer-step[j={j}]", n, R(j, n),
+        for j in range(1, m):
+            add(step("layer", j), n, R(j, n),
                 sum(A(0, n - i) * R(j + 1, i) + i * j * A(j + 1, i) * A(0, n - i)
                     + A(j + 1, i) * (R(0, n - i) + j * T(0, n - i))
                     for i in range(n + 1)))
-        add("layer-top", n, R(m - 1, n),
-            sum(A(0, n - i) * (R(0, i) + m * T(0, i))
-                + i * (m - 1) * A(0, i) * A(0, n - i)
-                + A(0, i) * (R(0, n - i) + (m - 1) * T(0, n - i))
-                for i in range(n + 1)))
         add("size-join", n, G(0, n),
             sum(A(0, n - i - 1) * (G(1, i) + (n - i - 1) * R(1, i) - i * T(1, i))
                 + A(1, i) * (G(0, n - i - 1) + (i + 1) * R(0, n - i - 1)
@@ -198,8 +200,8 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
                 + i * A(1, i) * A(0, n - i - 1)
                 - T(1, i) * T(0, n - i - 1)
                 for i in range(n)))
-        for j in range(1, m - 1):
-            add(f"size-step[j={j}]", n, G(j, n),
+        for j in range(1, m):
+            add(step("size", j), n, G(j, n),
                 sum(A(0, n - i) * (G(j + 1, i) + (n - i) * R(j + 1, i)
                                    - i * T(j + 1, i))
                     + A(j + 1, i) * (G(0, n - i) + (i + 1) * R(0, n - i)
@@ -207,12 +209,4 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
                     + (j * (n + 1) + 1) * i * A(j + 1, i) * A(0, n - i)
                     - T(j + 1, i) * T(0, n - i)
                     for i in range(n + 1)))
-        add("size-top", n, G(m - 1, n),
-            sum(A(0, n - i) * (G(0, i) + (n - i + 1) * R(0, i)
-                               + (m * (n + 1) + 1 - i) * T(0, i))
-                + A(0, i) * (G(0, n - i) + (i + 1) * R(0, n - i)
-                             + ((m - 1) * (n + 1) + 1) * T(0, n - i))
-                + ((m - 1) * (n + 1) + 1) * i * A(0, i) * A(0, n - i)
-                - T(0, i) * T(0, n - i)
-                for i in range(n + 1)))
     return checks

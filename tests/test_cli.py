@@ -191,6 +191,27 @@ def test_series_verify_output_is_pinned(capsys, m, order, fmt):
             == SERIES_VERIFY_GOLDEN[(m, order, fmt)])
 
 
+# Exit code, length and SHA-256 of every job the benchmark gates, as
+# recorded in bench/baseline.json; the `cores` listings are left to the
+# benchmark itself, being the slow ones.
+BENCH_BASELINE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "baseline.json").read_text())
+
+
+@pytest.mark.parametrize("job", [k for k in BENCH_BASELINE
+                                 if not k.startswith("cores ")])
+def test_gated_stdout_matches_bench_baseline(capsys, monkeypatch, job):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps --help to it
+    try:
+        code = main(job.split())
+    except SystemExit as exc:   # --help
+        code = exc.code
+    data = capsys.readouterr().out.encode()
+    want = BENCH_BASELINE[job]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) \
+        == (want["exit"], want["bytes"], want["sha256"])
+
+
 @pytest.mark.parametrize("command", ["cores", "poset"])
 def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
     limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]

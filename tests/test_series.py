@@ -69,6 +69,12 @@ def test_pow_shift_truncate():
         f.truncate(9)
     with pytest.raises(IndexError):
         f[5]
+    g = series([1, 2, 3, 4, 5, 6])
+    assert g ** 1 == g and g.truncate(0) == series([1])
+    for bad in (lambda: g.shift(-2), lambda: g.truncate(-3),
+                lambda: g.truncate(-1)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_arithmetic_truncates_to_shorter():

@@ -9,10 +9,11 @@ import pytest
 from simcores import cli
 from simcores.betaset import ideal_to_partition
 from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
-                             family_poset, gap_poset, order_ideals)
+                             family_poset, gap_poset, induced_subposet,
+                             order_ideals)
 from simcores.series import cross_check
 from simcores.stats import (EnumerationTooLargeError, StatRecord,
-                            average_size_check, compute_stats, core_count,
+                            _path_totals, average_size_check, compute_stats, core_count,
                             is_slope_pair, verify_stat_recursions)
 
 
@@ -131,6 +132,35 @@ def test_checks_past_the_guard():
         armstrong = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) \
             * comb(a + b, a)
         assert chk.total == armstrong and chk.count == core_count(a, b)
+
+
+def test_plain_poset_is_truncation_m():
+    # Dropping the bottom m layers of the gap poset of (n + 1, m(n + 1) + 1)
+    # leaves that of (n, mn + 1), each layer up by m and each label up by
+    # 1 + m(n + 1) + its plain layer: the index m of verify_stat_recursions.
+    def shifted(m, n):
+        a, t, r, g = _path_totals(n, m * n + 1)
+        return a, t, r + m * t, g + r + (m * (n + 1) + 1) * t
+
+    for m in range(1, 9):
+        for n in range(13):
+            assert _path_totals(n + 1, m * (n + 1) + 1, m) == shifted(m, n)
+    cases = 0
+    for m in range(1, 5):
+        n = 0
+        while (n - 1) * m * n // 2 <= 21:   # the plain poset's size
+            whole = gap_poset(n + 1, m * (n + 1) + 1)
+            top = induced_subposet(
+                whole, [p for p in whole.elements if p // (n + 1) >= m])
+            assert len(top) == (n - 1) * m * n // 2
+            count, occupancy, size_total = _ideal_totals(top)
+            layer_total = sum(k * (e // (n + 1))
+                              for k, e in zip(occupancy, top.elements))
+            assert (count, sum(occupancy), layer_total, size_total) \
+                == shifted(m, n), (m, n)
+            cases += 1
+            n += 1
+    assert cases == 23
 
 
 def test_compute_stats_hand_examples():
