@@ -300,6 +300,18 @@ def test_empty_grid_exits_2(capsys, argv):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("series-verify", "--m", "40", "--order", "40"),
+    # the largest n the m = 40 grid guard admits: 306,900 poset elements,
+    # where n = 11 has 403,480
+    ("cross-check", "--m", "40", "--max-n", "10"),
+])
+def test_largest_guarded_slope_passes(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert all(r["pass"] for r in json.loads(out))
+
+
 def test_cross_check(capsys):
     code, out, _ = run(capsys, "cross-check", "--m", "2", "--max-n", "3",
                        "--format", "json")

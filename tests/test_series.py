@@ -138,16 +138,46 @@ def test_stat_series_frozen_coefficients():
     b = stat_series(2, 6)
     assert coeffs(b.member[0], 3) == [0, 0, 3, 33]
     assert coeffs(b.size[0], 4) == [0, 0, 4, 66, 770]
-    assert coeffs(b.count_trimmed[1], 4) == [1, 2, 7, 30, 143]
+    assert coeffs(b.powers[2], 4) == [1, 2, 7, 30, 143]
 
 
 def test_stat_series_slope_one_degenerates():
     b = stat_series(1, 8)
     f = b.count
     fp = f.derivative()
-    assert b.count_trimmed == {}
+    assert b.powers[:2] == (constant(1, 8), f)
     assert b.member[0] == (fp * fp).shift(2) / f
     assert list(b.member) == [0] and list(b.layer) == [0] and list(b.size) == [0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 40])
+def test_power_table_matches_repeated_squaring(m):
+    # the table's successive products against __pow__'s repeated squaring
+    b = stat_series(m, 12)
+    assert len(b.powers) == 2 * m + 3
+    assert all(p == b.count ** k for k, p in enumerate(b.powers))
+
+
+def test_ledger_and_cross_check_read_powers_from_the_table(monkeypatch):
+    powered = []
+    original = TruncatedSeries.__pow__
+
+    def spy(self, e):
+        powered.append(self)
+        return original(self, e)
+
+    monkeypatch.setattr(TruncatedSeries, "__pow__", spy)
+    for m in range(1, 7):
+        assert all(c.passed for c in check_identities(m, 24))
+        assert all(r.passed for r in cross_check(m, 4))
+        # the bundle's F has order 24 in the ledger and 4 + 3 in cross_check
+        assert fuss_catalan_series(m, 24) not in powered, m
+        assert fuss_catalan_series(m, 7) not in powered, m
+
+
+def test_ledger_at_the_largest_guarded_slope_and_order():
+    checks = check_identities(40, 40)
+    assert checks and all(c.passed and c.effective_order >= 1 for c in checks)
 
 
 def test_integrality_guard():
@@ -165,7 +195,7 @@ def test_stat_series_coefficients_are_ints(m):
     # counting series stay in plain ints: every divisor has constant term 1
     # and every rational scalar of the formulas is whole
     b = stat_series(m, 24)
-    built = [b.count, *b.count_trimmed.values(), *b.member.values(),
+    built = [b.count, *b.powers, *b.member.values(),
              *b.layer.values(), *b.size.values()]
     assert all(type(c) is int for f in built for c in f.coeffs)
 
