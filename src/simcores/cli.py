@@ -7,19 +7,14 @@ an `error:` line on stderr instead of a report), 2 for usage errors, for a
 job over a guard (a closed form of the command's arguments, checked before
 any work and lifted by `--unsafe-limits`) and when stdout is closed before
 the report is written (`simcores ... | head`).
+
+Each subcommand imports the library modules it runs when it runs, so a job
+loads only those, and `--help` none.
 """
 
 import argparse
-import json
 import os
 import sys
-
-from .betaset import core_partitions
-from .partitions import canonical_order
-from .posets import FamilyId, gap_count, gap_poset, to_dot
-from .series import check_identities, cross_check
-from .stats import (EnumerationTooLargeError, average_size_check,
-                    compute_stats, core_count, verify_stat_recursions)
 
 MAX_LISTED_PARTS = 6_250_000   # (11, 13) lists 6,240,360
 MAX_LISTED_GAPS = 2_499        # the largest g with g(g + 1) <= that
@@ -27,6 +22,10 @@ MAX_POSET_SIZE = 60
 MAX_M = 40
 MAX_GRID_ELEMENTS = 400_000    # m = 6, n <= 40 has 396,060
 MAX_ORDER = 40
+
+
+class EnumerationTooLargeError(RuntimeError):
+    """A CLI job over its guard, a closed form of the command's arguments."""
 
 
 def _guard(args, size, limit, what):
@@ -56,7 +55,18 @@ def _int_at_least(low):
     return integer
 
 
+def _json(value):
+    """`value` as indented JSON; only --format json loads `json`."""
+    import json
+    return json.dumps(value, indent=2)
+
+
 def _cmd_cores(args):
+    from .betaset import core_partitions
+    from .partitions import canonical_order
+    from .posets import gap_count
+    from .stats import average_size_check, core_count
+
     # Each core's hook set is an ideal of the gaps, so a listing has at most
     # gaps * core_count parts.  g gaps have g + 1 ideals or more: the gap
     # guard refuses no listing the parts guard admits, and keeps the binomial
@@ -76,10 +86,9 @@ def _cmd_cores(args):
             f"transfer counts {check.count} of total size {check.total}")
     if args.format == "json":
         # json.dumps(payload, indent=2), written core by core
-        head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
-                           "total_size": check.total,
-                           "average": str(check.average),
-                           "matches": check.matches}, indent=2)
+        head = _json({"a": args.a, "b": args.b, "count": check.count,
+                      "total_size": check.total, "average": str(check.average),
+                      "matches": check.matches})
         blocks = ("[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
                   if p else "[]" for p in cores)
         sys.stdout.write(head[:-2] + ',\n  "cores": [\n    ' + next(blocks))
@@ -101,15 +110,16 @@ def _cmd_cores(args):
 
 
 def _cmd_poset(args):
+    from .posets import gap_count, gap_poset, to_dot
+
     _guard(args, gap_count(args.a, args.b), MAX_POSET_SIZE,
            f"the size of the gap poset of ({args.a}, {args.b})")
     poset = gap_poset(args.a, args.b)
     if args.format == "dot":
         print(to_dot(poset))
     elif args.format == "json":
-        print(json.dumps({"a": poset.a, "b": poset.b,
-                          "elements": poset.elements,
-                          "covers": poset.covers}, indent=2))
+        print(_json({"a": poset.a, "b": poset.b, "elements": poset.elements,
+                     "covers": poset.covers}))
     else:
         print(f"elements: {list(poset.elements)}")
         for hi, lo in poset.covers:
@@ -118,6 +128,9 @@ def _cmd_poset(args):
 
 
 def _cmd_stats(args):
+    from .posets import FamilyId
+    from .stats import compute_stats
+
     _guard_grid(args)
     rows = []
     for j in range(args.m):
@@ -138,7 +151,7 @@ def _report(rows, args, plain):
     `plain.format_map(row)` line each, led by "ok   " or "FAIL " when the row
     has a "pass" key; exit 1 when a row carries a false "pass"."""
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(_json(rows))
     elif args.format == "csv":
         print(",".join(rows[0]) if rows else "")
         for r in rows:
@@ -151,6 +164,8 @@ def _report(rows, args, plain):
 
 
 def _cmd_recursions(args):
+    from .stats import verify_stat_recursions
+
     _guard_grid(args)
     checks = verify_stat_recursions(args.m, args.max_n)
     rows = [{"name": c.name, "m": c.m, "n": c.n, "lhs": c.lhs, "rhs": c.rhs,
@@ -159,6 +174,8 @@ def _cmd_recursions(args):
 
 
 def _cmd_series_verify(args):
+    from .series import check_identities
+
     _guard(args, args.m, MAX_M, "--m")
     _guard(args, args.order, MAX_ORDER, "the series order")
     checks = check_identities(args.m, args.order)
@@ -171,6 +188,8 @@ def _cmd_series_verify(args):
 
 
 def _cmd_cross_check(args):
+    from .series import cross_check
+
     _guard_grid(args)
     checks = cross_check(args.m, args.max_n)
     rows = [{"m": c.m, "j": c.j, "n": c.n, "statistic": c.statistic,

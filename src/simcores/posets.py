@@ -7,7 +7,7 @@ truncations of these posets (drop the bottom j layers, where the layer of
 p is floor(p / (n + 1))) drives all the statistics in this package.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd
@@ -25,7 +25,6 @@ class ElementNotInPosetError(LookupError):
     """An element was addressed that the poset does not contain."""
 
 
-@dataclass(frozen=True)
 class GapPoset:
     """Finite poset of semigroup gaps, possibly restricted to a subset.
 
@@ -33,11 +32,30 @@ class GapPoset:
     original labels so explicit element maps apply verbatim.  So its order
     and Hasse diagram are the full gap poset's, restricted: `covers` holds
     the (upper, lower) pairs with upper - lower in {a, b}, sorted.
+
+    Immutable, equal and hashed by (a, b, elements).  It keeps an instance
+    dict, where the cached properties live.
     """
 
-    a: int
-    b: int
-    elements: tuple[int, ...]
+    def __init__(self, a: int, b: int, elements: tuple[int, ...]):
+        self.__dict__.update(a=a, b=b, elements=elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.elements) == (other.a, other.b, other.elements)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.elements))
+
+    def __repr__(self):
+        return f"GapPoset(a={self.a!r}, b={self.b!r}, elements={self.elements!r})"
 
     @cached_property
     def _element_set(self) -> frozenset[int]:
@@ -123,8 +141,7 @@ def induced_subposet(poset: GapPoset, keep) -> GapPoset:
     return GapPoset(poset.a, poset.b, keep)
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(namedtuple("FamilyId", "m j n")):
     """Names one poset in the two-parameter truncation family.
 
     j = 0 names the plain gap poset of (n, m*n + 1).  For j in [1, m - 1]
@@ -132,14 +149,17 @@ class FamilyId:
     layers removed, the layer of p being floor(p / (n + 1)).
     """
 
-    m: int
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 0 or not 0 <= self.j <= self.m - 1:
+    def __new__(cls, m: int, j: int, n: int):
+        if m < 1 or n < 0 or not 0 <= j <= m - 1:
             raise InvalidFamilyError(
-                f"no family poset named (m={self.m}, j={self.j}, n={self.n})")
+                f"no family poset named (m={m}, j={j}, n={n})")
+        return super().__new__(cls, m, j, n)
+
+    @classmethod
+    def _make(cls, iterable):   # so `_replace` checks the index too
+        return cls(*iterable)
 
     @property
     def layer_divisor(self) -> int:
@@ -238,20 +258,18 @@ def detached_part(poset: GapPoset, i: int) -> GapPoset:
         poset, poset._element_set - poset._closure(mins[:i], 1))
 
 
-@dataclass(frozen=True, eq=False)
-class IsomorphismInstance:
-    """One named poset pair together with an explicit element map."""
+class IsomorphismInstance(
+        namedtuple("IsomorphismInstance", "name source target mapping")):
+    """One named poset pair together with an explicit element map, a dict."""
 
-    name: str
-    source: GapPoset
-    target: GapPoset
-    mapping: dict[int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
-    ok: bool
-    witness: str | None = None
+class IsomorphismReport(namedtuple("IsomorphismReport", "ok witness",
+                                   defaults=(None,))):
+    """Whether a map is an isomorphism, and if not, a witness of why."""
+
+    __slots__ = ()
 
 
 def check_isomorphism(source: GapPoset, target: GapPoset, mapping) -> IsomorphismReport:

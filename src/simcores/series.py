@@ -9,7 +9,7 @@ whole, `Fraction` otherwise.  There is no floating point and no tolerance
 anywhere: an identity passes only if its residual is identically zero.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -37,9 +37,31 @@ def _exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple[int | Fraction, ...]
+    """The coefficients of x**0 ... x**order, a tuple.  Immutable, equal and
+    hashed by its coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int | Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -192,24 +214,20 @@ def _require_integral(f: TruncatedSeries, label: str) -> TruncatedSeries:
     return f
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesBundle:
+class SeriesBundle(namedtuple("SeriesBundle",
+                              "m powers member layer size denom")):
     """Generating functions of the four ideal statistics at one slope m.
 
-    `powers` holds F**0 ... F**(2m+2), built once by successive products;
-    truncation j >= 1 counts `powers[m - j + 1]`.  Keys of the dicts are the
-    truncation index j.  All counting series, the powers included, are
-    checked for integer coefficients at construction.  `denom` is
-    1 - (m+1) x F**m, the divisor of the size series.
+    `powers` holds F**0 ... F**(2m+2), built once by successive products:
+    the plain poset j = 0 counts `powers[1]`, the count series F, and
+    truncation j >= 1 counts `powers[m - j + 1]`.  `member`, `layer` and
+    `size` map the truncation index j to its series.  All counting series,
+    the powers included, are checked for integer coefficients at
+    construction.  `denom` is 1 - (m+1) x F**m, the divisor of the size
+    series.
     """
 
-    m: int
-    count: TruncatedSeries
-    powers: tuple[TruncatedSeries, ...]
-    member: dict[int, TruncatedSeries]
-    layer: dict[int, TruncatedSeries]
-    size: dict[int, TruncatedSeries]
-    denom: TruncatedSeries
+    __slots__ = ()
 
 
 def stat_series(m: int, order: int) -> SeriesBundle:
@@ -272,11 +290,11 @@ def stat_series(m: int, order: int) -> SeriesBundle:
                        - t0 * tnext)
             _require_integral(size[j], f"size series j={j}")
             tnext, rnext, gnext = member[j], layer[j], size[j]
-    return SeriesBundle(m, F, tuple(P), member, layer, size, denom)
+    return SeriesBundle(m, tuple(P), member, layer, size, denom)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "identity m effective_order "
+                               "residual_max_abs first_nonzero passed kind")):
     """Outcome of one ledger entry.
 
     `kind` is "derived" when a residual was evaluated, and "definitional"
@@ -284,13 +302,7 @@ class IdentityCheck:
     so it holds by construction and only its order is reported.
     """
 
-    identity: str
-    m: int
-    effective_order: int
-    residual_max_abs: int | Fraction
-    first_nonzero: int | None
-    passed: bool
-    kind: str
+    __slots__ = ()
 
 
 def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
@@ -309,7 +321,8 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     if m < 1 or order < MIN_LEDGER_ORDER:
         raise ValueError(f"need m >= 1 and order >= {MIN_LEDGER_ORDER}")
     b = stat_series(m, order)
-    F, P = b.count, b.powers
+    P = b.powers
+    F = P[1]
     Fp = F.derivative()
     Fpp = Fp.derivative()
     Fppp = Fpp.derivative()
@@ -454,17 +467,11 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     return out
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(namedtuple("CrossCheck", "m j n statistic series_value "
+                                         "enumerated_value passed")):
     """One series coefficient compared against one `compute_stats` total."""
 
-    m: int
-    j: int
-    n: int
-    statistic: str
-    series_value: int
-    enumerated_value: int
-    passed: bool
+    __slots__ = ()
 
 
 def cross_check(m: int, n_max: int) -> list[CrossCheck]:
@@ -480,7 +487,7 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     bundle = stat_series(m, n_max + 3)
     out = []
     for j in range(m):
-        counts = bundle.powers[m - j + 1] if j else bundle.count
+        counts = bundle.powers[m - j + 1 if j else 1]
         for n in range(n_max + 1):
             rec = compute_stats(FamilyId(m, j, n))
             rows = (("count", counts, rec.ideal_count),

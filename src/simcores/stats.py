@@ -4,16 +4,11 @@ convolution recursions behind the average-size identity.
 Everything here is arbitrary-precision integer arithmetic; no floats.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
 from .posets import FamilyId, NonCoprimeError, abacus_runners, gap_count
-
-
-class EnumerationTooLargeError(RuntimeError):
-    """A CLI job over its guard, a closed form of the command's arguments."""
 
 
 def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
@@ -60,15 +55,14 @@ def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
             sum(lab) - (sum(s2) - members) // 2)
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    """Exact totals of the four statistics over every ideal of one poset."""
+class StatRecord(namedtuple("StatRecord", "family ideal_count member_sum "
+                                         "layer_sum core_size_sum")):
+    """Exact totals of the four statistics over every ideal of one poset:
+    the number of order ideals, and over all of them the total number of
+    members, the total of member layer indices and the total partition size
+    under the beta-set bijection."""
 
-    family: FamilyId
-    ideal_count: int     # number of order ideals
-    member_sum: int      # total number of members over all ideals
-    layer_sum: int       # total of member layer indices over all ideals
-    core_size_sum: int   # total partition size under the beta-set bijection
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -99,22 +93,18 @@ def is_slope_pair(a: int, b: int) -> bool:
     return lo == 1 or hi % lo == 1
 
 
-@dataclass(frozen=True)
-class AverageSizeCheck:
-    """Total and average core size against the closed-form prediction."""
+class AverageSizeCheck(namedtuple("AverageSizeCheck", "a b count total rhs "
+                                                     "average matches")):
+    """Total and average core size against the closed-form prediction.
+    `count`, the number of cores, is a field: it hides `tuple.count`."""
 
-    a: int
-    b: int
-    count: int
-    total: int
-    rhs: Fraction
-    average: Fraction
-    matches: bool
+    __slots__ = ()
 
 
 def average_size_check(a: int, b: int) -> AverageSizeCheck:
     """Sum the sizes of all (a, b)-cores by the lattice-path transfer and
     compare with Armstrong's (a-1)(b-1)(a+b+1)/24 * core_count(a, b)."""
+    from fractions import Fraction   # the totals and recursions need none
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
     count, _, _, total = _path_totals(a, b)
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24) * core_count(a, b)
@@ -122,16 +112,10 @@ def average_size_check(a: int, b: int) -> AverageSizeCheck:
                             Fraction(total, count), total == rhs)
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
+class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):
     """One exact integer equality between a statistic and a convolution."""
 
-    name: str
-    m: int
-    n: int
-    lhs: int
-    rhs: int
-    passed: bool
+    __slots__ = ()
 
 
 def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:

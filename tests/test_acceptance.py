@@ -87,7 +87,7 @@ def test_criterion_04_bijection_soundness():
 def test_criterion_05_main_identity_through_order_12():
     for m in range(1, 7):
         bundle = stat_series(m, 12)
-        f = bundle.count
+        f = bundle.powers[1]
         fppp = f.derivative().derivative().derivative()
         fpp = f.derivative().derivative()
         residual = (m * (m + 1) * fppp.shift(3) + m * (2 * m + 4) * fpp.shift(2)

@@ -1,10 +1,10 @@
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import simcores
-from simcores import cli
+from simcores import betaset, cli, stats
 from simcores.cli import _report, build_parser, main
 from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
@@ -218,8 +218,10 @@ def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
     if command == "cores":   # cores builds no poset, so no work may start
         def no_work(*args):
             raise AssertionError("cores worked before its guards")
-        for name in ("core_count", "average_size_check", "core_partitions"):
-            monkeypatch.setattr(cli, name, no_work)
+        for target in ("simcores.stats.core_count",
+                       "simcores.stats.average_size_check",
+                       "simcores.betaset.core_partitions"):
+            monkeypatch.setattr(target, no_work)
     gap_poset.cache_clear()   # so an earlier case cannot have built it
     misses = gap_poset.cache_info().misses
     code, out, err = run(capsys, command, "--a", "700", "--b", "701")
@@ -381,8 +383,8 @@ def test_cores_larger_generator_first(capsys, fmt):
 
 def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
     # the listing and the lattice-path totals check each other before output
-    real = cli.core_partitions
-    monkeypatch.setattr(cli, "core_partitions", lambda a, b: real(a, b)[1:])
+    real = betaset.core_partitions
+    monkeypatch.setattr(betaset, "core_partitions", lambda a, b: real(a, b)[1:])
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
                              "--format", fmt)
@@ -393,20 +395,25 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
 def test_cores_mismatch_exits_1(capsys, monkeypatch):
     # a mismatch fails every pair, inside the slope family (3, 7) or not
-    real = cli.average_size_check
-    monkeypatch.setattr(cli, "average_size_check",
-                        lambda a, b: dataclasses.replace(real(a, b),
-                                                         matches=False))
+    real = stats.average_size_check
+    monkeypatch.setattr(stats, "average_size_check",
+                        lambda a, b: real(a, b)._replace(matches=False))
     for a, b in [(3, 7), (3, 5)]:
         code, out, _ = run(capsys, "cores", "--a", str(a), "--b", str(b))
         assert code == 1 and "matches closed form: no" in out
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_closed_stdout_exits_2_without_traceback(fmt):
+def source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(simcores.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_closed_stdout_exits_2_without_traceback(fmt):
+    env = source_env()
     # 150-630 KB of output, far more than a pipe buffers
     proc = subprocess.Popen(
         [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10",
@@ -422,16 +429,59 @@ def test_closed_stdout_exits_2_without_traceback(fmt):
 
 
 def test_runtime_imports_only_the_standard_library():
-    src = str(Path(simcores.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys; before = set(sys.modules); import simcores, simcores.cli; "
-             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    # every submodule, since importing the package loads none of them
+    names = sorted(m.name for m in pkgutil.iter_modules(simcores.__path__))
+    probe = ("import sys; before = set(sys.modules); import simcores; "
+             f"[__import__('simcores.' + m) for m in {names!r}]; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, env=env, check=True).stdout.split()
-    assert "simcores" in out
-    assert [m for m in out if m != "simcores"
-            and m not in sys.stdlib_module_names] == []
+                         text=True, env=source_env(), check=True).stdout.split()
+    assert {"simcores", *(f"simcores.{m}" for m in names)} <= set(out)
+    assert [m for m in out if m.split(".")[0] != "simcores"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_lazy_exports():
+    for name in simcores.__all__:
+        value = getattr(simcores, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    namespace = {}
+    exec("from simcores import *", namespace)
+    assert set(simcores.__all__) <= set(namespace)
+    assert set(simcores.__all__) <= set(dir(simcores))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        simcores.no_such_name
+
+
+# The simcores modules a cold `python -m simcores.cli` job loads: each
+# subcommand imports only what it runs, and `--help` nothing.
+FOOTPRINTS = [
+    (("--help",), ()),
+    (("poset", "--a", "3", "--b", "7"), ("posets",)),
+    (("stats", "--m", "2", "--max-n", "3"), ("posets", "stats")),
+    (("recursions", "--m", "2", "--max-n", "3"), ("posets", "stats")),
+    (("series-verify", "--m", "2"), ("posets", "series", "stats")),
+    (("cross-check", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
+    (("cores", "--a", "3", "--b", "7"),
+     ("betaset", "partitions", "posets", "stats")),
+]
+
+
+@pytest.mark.parametrize("argv,modules", FOOTPRINTS,
+                         ids=[argv[0] for argv, _ in FOOTPRINTS])
+def test_subcommand_import_footprint(argv, modules):
+    # runs the module as `python -m` does, then lists what the job added
+    probe = ("import runpy, sys; before = set(sys.modules)\n"
+             "try: runpy.run_module('simcores.cli', run_name='__main__', "
+             "alter_sys=True)\n"
+             "except SystemExit: pass\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=source_env(), check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {m for m in loaded if m.startswith("simcores")} \
+        == {"simcores", *(f"simcores.{m}" for m in modules)}
+    assert "dataclasses" not in loaded
 
 
 def exit_code(argv):
@@ -474,7 +524,6 @@ def test_arithmetic_error_exits_1_without_traceback(capsys, monkeypatch):
     def broken(m, order):
         raise IntegralityViolationError("coefficient 3 of F is 1/2")
 
-    # `simcores.series` names the package's `series` function, not the module
     monkeypatch.setattr(importlib.import_module("simcores.series"),
                         "stat_series", broken)
     for argv in (["series-verify", "--m", "2"],

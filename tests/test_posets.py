@@ -67,6 +67,18 @@ def test_gap_poset_worked_example():
     assert set(poset.covers) == {(11, 4), (11, 8), (8, 1), (8, 5), (5, 2), (4, 1)}
 
 
+def test_gap_poset_is_an_immutable_value():
+    poset = GapPoset(3, 7, gap_poset(3, 7).elements)
+    assert poset == gap_poset(3, 7) and hash(poset) == hash(gap_poset(3, 7))
+    assert poset != GapPoset(3, 8, poset.elements)
+    assert poset.covers == gap_poset(3, 7).covers   # cached in its dict
+    with pytest.raises(AttributeError):
+        poset.a = 4
+    with pytest.raises(AttributeError):
+        del poset.elements
+    assert repr(poset) == "GapPoset(a=3, b=7, elements=(1, 2, 4, 5, 8, 11))"
+
+
 def test_gap_poset_trivial_and_figure_example():
     assert gap_poset(1, 5).elements == ()
     assert gap_poset(4, 9).elements == (1, 2, 3, 5, 6, 7, 10, 11, 14, 15, 19, 23)
@@ -170,6 +182,8 @@ def test_family_poset_rejects_bad_index():
         FamilyId(2, -1, 3)
     with pytest.raises(InvalidFamilyError):
         FamilyId(0, 0, 3)
+    with pytest.raises(InvalidFamilyError):
+        FamilyId(2, 1, 3)._replace(j=2)
 
 
 def test_layer_index():

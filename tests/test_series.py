@@ -24,6 +24,17 @@ def test_mul_example():
     assert f == series([1, 0, -1, 0])
 
 
+def test_series_is_an_immutable_value():
+    f = series([1, 2, Fraction(1, 2)])
+    assert f == series([1, 2, Fraction(1, 2)]) != series([1, 2, 0])
+    assert hash(f) == hash(series([1, 2, Fraction(1, 2)]))
+    with pytest.raises(AttributeError):
+        f.coeffs = (0,)
+    with pytest.raises(AttributeError):
+        del f.coeffs
+    assert repr(f) == "TruncatedSeries(coeffs=(1, 2, Fraction(1, 2)))"
+
+
 def test_constructors_reject_floats():
     with pytest.raises(TypeError, match="int or Fraction"):
         series([0.1])
@@ -143,7 +154,7 @@ def test_stat_series_frozen_coefficients():
 
 def test_stat_series_slope_one_degenerates():
     b = stat_series(1, 8)
-    f = b.count
+    f = fuss_catalan_series(1, 8)
     fp = f.derivative()
     assert b.powers[:2] == (constant(1, 8), f)
     assert b.member[0] == (fp * fp).shift(2) / f
@@ -155,7 +166,7 @@ def test_power_table_matches_repeated_squaring(m):
     # the table's successive products against __pow__'s repeated squaring
     b = stat_series(m, 12)
     assert len(b.powers) == 2 * m + 3
-    assert all(p == b.count ** k for k, p in enumerate(b.powers))
+    assert all(p == b.powers[1] ** k for k, p in enumerate(b.powers))
 
 
 def test_ledger_and_cross_check_read_powers_from_the_table(monkeypatch):
@@ -195,7 +206,7 @@ def test_stat_series_coefficients_are_ints(m):
     # counting series stay in plain ints: every divisor has constant term 1
     # and every rational scalar of the formulas is whole
     b = stat_series(m, 24)
-    built = [b.count, *b.powers, *b.member.values(),
+    built = [*b.powers, *b.member.values(),
              *b.layer.values(), *b.size.values()]
     assert all(type(c) is int for f in built for c in f.coeffs)
 

@@ -6,14 +6,14 @@ from math import comb, gcd
 
 import pytest
 
-from simcores import cli
+from simcores import cli, stats
 from simcores.betaset import ideal_to_partition
 from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
                              family_poset, gap_poset, induced_subposet,
                              order_ideals)
 from simcores.series import cross_check
-from simcores.stats import (EnumerationTooLargeError, StatRecord,
-                            _path_totals, average_size_check, compute_stats, core_count,
+from simcores.cli import EnumerationTooLargeError
+from simcores.stats import (StatRecord, _path_totals, average_size_check, compute_stats, core_count,
                             is_slope_pair, verify_stat_recursions)
 
 
@@ -247,7 +247,7 @@ def test_average_size_check_guard(monkeypatch, capsys):
         <= cli.MAX_LISTED_PARTS \
         < (cli.MAX_LISTED_GAPS + 1) * (cli.MAX_LISTED_GAPS + 2)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "average_size_check", forbidden)
+        patch.setattr(stats, "average_size_check", forbidden)
         assert cli.main(["cores", "--a", "3", "--b", "700"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "(3, 700)-core listing is 57329883, above " \
