@@ -413,12 +413,11 @@ def source_env():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_closed_stdout_exits_2_without_traceback(fmt):
-    env = source_env()
     # 150-630 KB of output, far more than a pipe buffers
     proc = subprocess.Popen(
         [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10",
          "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
     assert proc.stdout.readline() == {"plain": b"(9, 10)-cores: 4862\n",
                                       "json": b"{\n", "csv": b"parts,size\n"}[fmt]
     proc.stdout.close()
