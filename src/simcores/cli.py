@@ -128,19 +128,13 @@ def _cmd_poset(args):
 
 
 def _cmd_stats(args):
-    from .posets import FamilyId
     from .stats import compute_stats
 
     _guard_grid(args)
-    rows = []
-    for j in range(args.m):
-        for n in range(args.max_n + 1):
-            rec = compute_stats(FamilyId(args.m, j, n))
-            rows.append({"m": args.m, "j": j, "n": n,
-                         "ideal_count": rec.ideal_count,
-                         "member_sum": rec.member_sum,
-                         "layer_sum": rec.layer_sum,
-                         "core_size_sum": rec.core_size_sum})
+    rows = [{"m": rec.family.m, "j": rec.family.j, "n": rec.family.n,
+             "ideal_count": rec.ideal_count, "member_sum": rec.member_sum,
+             "layer_sum": rec.layer_sum, "core_size_sum": rec.core_size_sum}
+            for rec in compute_stats(args.m, args.max_n)]
     return _report(rows, args,
                    "m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
                    "layers={layer_sum} sizes={core_size_sum}")

@@ -115,7 +115,8 @@ def abacus_runners(a: int, b: int) -> list[tuple[int, int]]:
     return [divmod(k * b, a) for k in range(1, a)]
 
 
-@lru_cache(maxsize=None)
+# A few dozen: callers reread recent posets; unbounded, every one would stay.
+@lru_cache(maxsize=32)
 def gap_poset(a: int, b: int) -> GapPoset:
     """The poset of the gaps of {a, b}, read off `abacus_runners(a, b)`."""
     count = gap_count(a, b)
@@ -168,7 +169,8 @@ class FamilyId(namedtuple("FamilyId", "m j n")):
         return self.n if self.j == 0 else self.n + 1
 
 
-@lru_cache(maxsize=None)
+# A few dozen: callers reread recent posets; unbounded, every one would stay.
+@lru_cache(maxsize=32)
 def family_poset(family: FamilyId) -> GapPoset:
     """Materialize the poset named by `family`, with original labels."""
     m, j, a = family.m, family.j, family.layer_divisor

@@ -13,7 +13,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .posets import FamilyId
 from .stats import compute_stats, core_count
 
 # The lowest ledger order at which every entry, the triple-derivative ones
@@ -475,27 +474,24 @@ class CrossCheck(namedtuple("CrossCheck", "m j n statistic series_value "
 
 
 def cross_check(m: int, n_max: int) -> list[CrossCheck]:
-    """Compare series coefficients with `compute_stats`, statistic by
-    statistic, on every truncation j < m and every n <= n_max.
+    """Compare series coefficients with the grid `compute_stats(m, n_max)`,
+    statistic by statistic, on every truncation j < m and every n <= n_max.
 
     The two sides are computed by unrelated code paths (a Fuss-Catalan series
     against a lattice-path transfer over the abacus of each poset), so
     agreement here is the package's strongest oracle.
     """
-    if m < 1 or n_max < 0:
-        raise ValueError("need m >= 1 and n_max >= 0")
+    records = compute_stats(m, n_max)   # refuses a bad grid before any work
     bundle = stat_series(m, n_max + 3)
     out = []
-    for j in range(m):
-        counts = bundle.powers[m - j + 1 if j else 1]
-        for n in range(n_max + 1):
-            rec = compute_stats(FamilyId(m, j, n))
-            rows = (("count", counts, rec.ideal_count),
-                    ("member", bundle.member[j], rec.member_sum),
-                    ("layer", bundle.layer[j], rec.layer_sum),
-                    ("size", bundle.size[j], rec.core_size_sum))
-            for stat, srs, enumerated in rows:
-                value = srs[n]
-                out.append(CrossCheck(m, j, n, stat, int(value), enumerated,
-                                      value == enumerated))
+    for rec in records:
+        j, n = rec.family.j, rec.family.n
+        rows = (("count", bundle.powers[m - j + 1 if j else 1], rec.ideal_count),
+                ("member", bundle.member[j], rec.member_sum),
+                ("layer", bundle.layer[j], rec.layer_sum),
+                ("size", bundle.size[j], rec.core_size_sum))
+        for stat, srs, enumerated in rows:
+            value = srs[n]
+            out.append(CrossCheck(m, j, n, stat, int(value), enumerated,
+                                  value == enumerated))
     return out

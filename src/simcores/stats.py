@@ -11,48 +11,41 @@ from math import comb, gcd
 from .posets import FamilyId, NonCoprimeError, abacus_runners, gap_count
 
 
-def _path_totals(a: int, b: int, j: int = 0) -> tuple[int, int, int, int]:
-    """Totals over the order ideals of the gap poset of (a, b) with its
-    bottom j layers removed, in one pass along Anderson's lattice paths.
+def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Totals over the order ideals of the gap poset of (a, b), for each cap
+    c = 0 .. t_1 on the first runner, in one pass along Anderson's lattice
+    paths.
 
     An ideal is a height sequence on the runners of `abacus_runners(a, b)`,
-    and the level i of a gap r_k + a*i is its layer p // a.  The bottom j
-    layers form a down-set, so the ideals of the truncation are the ideals
-    containing it: h_k >= min(j, t_k), and only members at levels >= j count.
-
-    For each height of the current runner the pass carries the moments
-    (count, sum s, sum s^2, sum of labels, sum of layers) of the paths
-    ending there, s being their number of members; suffix sums over the
-    previous runner's heights keep it linear in the number of gaps.
-    Returns (ideal count, member sum, layer sum, size sum), an ideal of s
-    members having size sum(labels) - C(s, 2).  With a <= 1 there are no
-    runners: the empty poset has one ideal.
+    and the level i of a gap r_k + a*i is its layer p // a.  From the last
+    runner down, for each height of the current runner the pass carries the
+    moments (count, sum s, sum s^2, sum of labels, sum of layers) of the
+    completions from it on, s being their number of members; prefix sums
+    over the next runner's heights keep it linear in the number of gaps.
+    Entry c is (ideal count, member sum, layer sum, size sum) over the
+    ideals with h_1 <= c, an ideal of s members having size
+    sum(labels) - C(s, 2); the last entry is the whole poset.  With a <= 1
+    there are no runners: the one entry is the empty poset's one ideal.
     """
-    cnt, s1, s2, lab, lay = [1], [0], [0], [0], [0]   # runner 0: height 0
-    prev_t = prev_lo = 0
-    for t, r in abacus_runners(a, b):
-        lo = min(j, t)
-        for v in (cnt, s1, s2, lab, lay):
-            for i in range(len(v) - 2, -1, -1):
-                v[i] += v[i + 1]
-        # height h follows the previous heights >= h - (t - prev_t)
-        offset = t - prev_t + prev_lo
-        nxt = [], [], [], [], []
-        for h in range(lo, t + 1):
-            i = max(h - offset, 0)
-            c, x1, x2, xl, xy = cnt[i], s1[i], s2[i], lab[i], lay[i]
-            s = max(h - j, 0)          # members at levels j .. h - 1
-            y = s * (j + h - 1) // 2   # their layer sum
-            nxt[0].append(c)
-            nxt[1].append(x1 + s * c)
-            nxt[2].append(x2 + (2 * x1 + s * c) * s)
-            nxt[3].append(xl + (s * r + a * y) * c)
-            nxt[4].append(xy + y * c)
-        cnt, s1, s2, lab, lay = nxt
-        prev_t, prev_lo = t, lo
-    members = sum(s1)
-    return (sum(cnt), members, sum(lay),
-            sum(lab) - (sum(s2) - members) // 2)
+    runners = abacus_runners(a, b)
+    t_next = runners[-1][0] if runners else 0
+    # past the last runner, one empty completion follows every height
+    prefix = [(1, 0, 0, 0, 0)] * (t_next + 1)
+    for t, r in reversed(runners):
+        offset = t_next - t   # height h is followed by heights <= h + offset
+        nxt = []
+        pc = p1 = p2 = pl = py = 0
+        for h in range(t + 1):
+            c, x1, x2, xl, xy = prefix[h + offset]
+            y = h * (h - 1) // 2   # layer sum of the members 0 .. h - 1
+            pc += c
+            p1 += x1 + h * c
+            p2 += x2 + (2 * x1 + h * c) * h
+            pl += xl + (h * r + a * y) * c
+            py += xy + y * c
+            nxt.append((pc, p1, p2, pl, py))
+        prefix, t_next = nxt, t
+    return [(c, x1, xy, xl - (x2 - x1) // 2) for c, x1, x2, xl, xy in prefix]
 
 
 class StatRecord(namedtuple("StatRecord", "family ideal_count member_sum "
@@ -65,12 +58,30 @@ class StatRecord(namedtuple("StatRecord", "family ideal_count member_sum "
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
-def compute_stats(family: FamilyId) -> StatRecord:
-    """The four statistics of the poset named by `family`, by `_path_totals`
-    on the gap poset of (a, m*a + 1), a being the family's layer divisor."""
-    m, j, a = family.m, family.j, family.layer_divisor
-    return StatRecord(family, *_path_totals(a, m * a + 1, j))
+# A few grids: each check reads its grid once; unbounded, every grid would stay.
+@lru_cache(maxsize=8)
+def compute_stats(m: int, n_max: int) -> tuple[StatRecord, ...]:
+    """The four statistics of every family poset (m, j, n) with j < m and
+    n <= n_max, ordered by (j, n), from n_max + 2 `_path_totals` passes.
+
+    On the gap poset of (a, m*a + 1) runner k holds k*m gaps, and truncation
+    j forces h_k >= j on each runner; h - j then meets the plain chain with
+    runner 1 capped at m - j.  So pass a gives the plain poset of index a at
+    cap m and truncation j of index a - 1 at cap m - j, each member j layers
+    and a*j labels higher.
+    """
+    if m < 1 or n_max < 0:
+        raise ValueError("need m >= 1 and n_max >= 0")
+    passes = [_path_totals(a, m * a + 1) for a in range(n_max + 2)]
+    records = []
+    for j in range(m):
+        for n in range(n_max + 1):
+            family = FamilyId(m, j, n)
+            a = family.layer_divisor
+            totals = passes[a]   # a single entry, at every cap, for a <= 1
+            c, t, r, g = totals[min(m - j, len(totals) - 1)]
+            records.append(StatRecord(family, c, t, r + j * t, g + a * j * t))
+    return tuple(records)
 
 
 def core_count(a: int, b: int) -> int:
@@ -106,7 +117,7 @@ def average_size_check(a: int, b: int) -> AverageSizeCheck:
     compare with Armstrong's (a-1)(b-1)(a+b+1)/24 * core_count(a, b)."""
     from fractions import Fraction   # the totals and recursions need none
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
-    count, _, _, total = _path_totals(a, b)
+    count, _, _, total = _path_totals(a, b)[-1]
     rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24) * core_count(a, b)
     return AverageSizeCheck(a, b, count, total, rhs,
                             Fraction(total, count), total == rhs)
@@ -120,7 +131,7 @@ class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):
 
 def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     """Check the convolution recursions of the four statistics against
-    the totals of `compute_stats`, for all n <= n_max.
+    the grid `compute_stats(m, n_max)`, which refuses an invalid grid.
 
     Index m is the gap poset of (n, m*n + 1) read as truncation m of that
     of (n + 1, m*(n + 1) + 1): its runner k is runner k + 1 there, and each
@@ -130,13 +141,8 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     the layer and size recursions mix adjacent layers of the truncation and
     need m >= 2, so the degenerate report contains just those two families.
     """
-    if m < 1 or n_max < 0:
-        raise ValueError("need m >= 1 and n_max >= 0")
-    recs = {}
-    for j in range(m):
-        for n in range(n_max + 1):
-            s = compute_stats(FamilyId(m, j, n))
-            recs[j, n] = s.ideal_count, s.member_sum, s.layer_sum, s.core_size_sum
+    recs = {(rec.family.j, rec.family.n): rec[1:]
+            for rec in compute_stats(m, n_max)}
     for n in range(n_max + 1):
         a, t, r, g = recs[0, n]
         recs[m, n] = a, t, r + m * t, g + r + (m * (n + 1) + 1) * t

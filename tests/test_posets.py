@@ -140,6 +140,14 @@ def test_ideal_masks_cache_is_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
 
 
+def test_poset_caches_are_bounded():
+    for m in range(1, 101):   # 100 chains of m gaps, each built by both
+        family_poset(FamilyId(m, 0, 2))
+    for cache in (gap_poset, family_poset):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize < 100
+
+
 def test_order_ideals_canonical_order():
     pairs = [(a, b) for a, b in coprime_pairs(64) if gap_count(a, b) <= 30]
     assert (6, 13) in pairs and (2, 61) in pairs

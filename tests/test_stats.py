@@ -65,6 +65,12 @@ def enumerated_stats(family):
     return count, sum(occupancy), layer_total, size_total
 
 
+def stats_of(family):
+    """The record of one family poset, picked out of its grid."""
+    return next(rec for rec in compute_stats(family.m, family.n)
+                if rec.family == family)
+
+
 def test_path_totals_against_enumeration_on_the_guarded_grid():
     families = 0
     for m in range(1, 7):
@@ -72,7 +78,7 @@ def test_path_totals_against_enumeration_on_the_guarded_grid():
             n = 0
             while len(family_poset(FamilyId(m, j, n))) <= 60:
                 fid = FamilyId(m, j, n)
-                rec = compute_stats(fid)
+                rec = stats_of(fid)
                 assert (rec.ideal_count, rec.member_sum, rec.layer_sum,
                         rec.core_size_sum) == enumerated_stats(fid), fid
                 families += 1
@@ -109,7 +115,9 @@ def test_guard_size_is_family_size(monkeypatch):
 
 @pytest.mark.parametrize("check,m,n_max", [(verify_stat_recursions, 0, 3),
                                             (verify_stat_recursions, 2, -1),
-                                            (cross_check, 2, -1)])
+                                            (cross_check, 2, -1),
+                                            (compute_stats, 0, 3),
+                                            (compute_stats, 2, -1)])
 def test_grid_checks_refuse_an_empty_or_invalid_grid(check, m, n_max):
     # an empty grid would pass all(...) vacuously, and m = 0 has no slope
     with pytest.raises(ValueError, match=r"^need m >= 1 and n_max >= 0$"):
@@ -139,12 +147,14 @@ def test_plain_poset_is_truncation_m():
     # leaves that of (n, mn + 1), each layer up by m and each label up by
     # 1 + m(n + 1) + its plain layer: the index m of verify_stat_recursions.
     def shifted(m, n):
-        a, t, r, g = _path_totals(n, m * n + 1)
+        a, t, r, g = _path_totals(n, m * n + 1)[-1]
         return a, t, r + m * t, g + r + (m * (n + 1) + 1) * t
 
     for m in range(1, 9):
         for n in range(13):
-            assert _path_totals(n + 1, m * (n + 1) + 1, m) == shifted(m, n)
+            # cap 0 is truncation m: members m layers, (n + 1)m labels higher
+            a, t, r, g = _path_totals(n + 1, m * (n + 1) + 1)[0]
+            assert (a, t, r + m * t, g + (n + 1) * m * t) == shifted(m, n)
     cases = 0
     for m in range(1, 5):
         n = 0
@@ -164,12 +174,12 @@ def test_plain_poset_is_truncation_m():
 
 
 def test_compute_stats_hand_examples():
-    rec = compute_stats(FamilyId(2, 0, 2))
+    rec = stats_of(FamilyId(2, 0, 2))
     assert (rec.ideal_count, rec.member_sum, rec.layer_sum, rec.core_size_sum) == (3, 3, 1, 4)
-    rec = compute_stats(FamilyId(3, 0, 2))
+    rec = stats_of(FamilyId(3, 0, 2))
     assert (rec.ideal_count, rec.member_sum, rec.layer_sum, rec.core_size_sum) == (4, 6, 4, 10)
     for m in (1, 2, 5):
-        rec = compute_stats(FamilyId(m, 0, 0))
+        rec = stats_of(FamilyId(m, 0, 0))
         assert (rec.ideal_count, rec.member_sum, rec.layer_sum, rec.core_size_sum) == (1, 0, 0, 0)
 
 
@@ -177,7 +187,7 @@ def test_compute_stats_hand_examples():
                                     FamilyId(3, 1, 2), FamilyId(3, 2, 2),
                                     FamilyId(1, 0, 4)])
 def test_compute_stats_against_subset_filter(family):
-    rec = compute_stats(family)
+    rec = stats_of(family)
     assert (rec.ideal_count, rec.member_sum, rec.layer_sum,
             rec.core_size_sum) == brute_stats(family)
 
@@ -221,7 +231,7 @@ def test_core_count_examples():
 def test_core_count_matches_plain_family_counts():
     for m in range(1, 5):
         for n in range(7):
-            rec = compute_stats(FamilyId(m, 0, n))
+            rec = stats_of(FamilyId(m, 0, n))
             expected = 1 if n == 0 else core_count(n, m * n + 1)
             assert rec.ideal_count == expected
 
@@ -286,7 +296,7 @@ def test_extended_average_size_report_mode():
 
 def test_size_total_equals_partition_size_total():
     for family in (FamilyId(2, 0, 3), FamilyId(2, 1, 3), FamilyId(3, 1, 2)):
-        rec = compute_stats(family)
+        rec = stats_of(family)
         direct = sum(sum(ideal_to_partition(members))
                      for members in order_ideals(family_poset(family)))
         assert rec.core_size_sum == direct
@@ -297,7 +307,7 @@ def test_stat_record_bounds():
         for j in range(m):
             for n in range(5):
                 fid = FamilyId(m, j, n)
-                rec = compute_stats(fid)
+                rec = stats_of(fid)
                 assert rec.ideal_count >= 1
                 assert min(rec.member_sum, rec.layer_sum, rec.core_size_sum) >= 0
                 whole = sum(family_poset(fid).elements)
@@ -307,7 +317,7 @@ def test_stat_record_bounds():
 def test_statistics_monotone_on_frozen_range():
     for m in (1, 2, 3):
         for j in range(m):
-            rows = [compute_stats(FamilyId(m, j, n)) for n in range(6)]
+            rows = [stats_of(FamilyId(m, j, n)) for n in range(6)]
             for field in ("ideal_count", "member_sum", "layer_sum", "core_size_sum"):
                 vals = [getattr(r, field) for r in rows]
                 assert vals == sorted(vals)
@@ -315,8 +325,8 @@ def test_statistics_monotone_on_frozen_range():
 
 def test_member_join_recursion_hand_instance():
     # slope 2, n = 2: the member-sum convolution evaluates to 3
-    a = {n: compute_stats(FamilyId(2, 0, n)) for n in range(3)}
-    b = {n: compute_stats(FamilyId(2, 1, n)) for n in range(2)}
+    a = {n: stats_of(FamilyId(2, 0, n)) for n in range(3)}
+    b = {n: stats_of(FamilyId(2, 1, n)) for n in range(2)}
     rhs = sum(b[i].member_sum * a[1 - i].ideal_count
               + i * b[i].ideal_count * a[1 - i].ideal_count
               + b[i].ideal_count * a[1 - i].member_sum for i in range(2))
@@ -340,6 +350,46 @@ def test_recursions_degenerate_slope_one():
 
 
 def test_stat_record_fields():
-    rec = compute_stats(FamilyId(2, 0, 2))
+    rec = stats_of(FamilyId(2, 0, 2))
     assert isinstance(rec, StatRecord)
     assert rec.family == FamilyId(2, 0, 2)
+
+
+def test_one_pass_per_index_serves_every_truncation(monkeypatch, capsys):
+    # a grid costs one lattice-path pass per a = 0 .. n_max + 1, however
+    # many truncations it has, and each grid command computes one grid
+    passes, path_totals = [], stats._path_totals
+
+    def counted(a, b):
+        passes.append((a, b))
+        return path_totals(a, b)
+
+    monkeypatch.setattr(stats, "_path_totals", counted)
+    for m in (1, 2, 6, 40):
+        for n_max in (0, 3, 10):
+            compute_stats.cache_clear()
+            passes.clear()
+            assert len(compute_stats(m, n_max)) == m * (n_max + 1)
+            assert passes == [(a, m * a + 1) for a in range(n_max + 2)]
+
+    grids = []
+
+    def recorded(m, n_max):
+        grids.append((m, n_max))
+        return compute_stats(m, n_max)
+
+    for module in ("simcores.stats", "simcores.series"):
+        monkeypatch.setattr(f"{module}.compute_stats", recorded)
+    for command in ("stats", "recursions", "cross-check"):
+        grids.clear()
+        assert cli.main([command, "--m", "6", "--max-n", "4"]) == 0, command
+        capsys.readouterr()
+        assert grids == [(6, 4)], command
+
+
+def test_compute_stats_cache_is_bounded():
+    compute_stats.cache_clear()
+    for n_max in range(40):
+        compute_stats(2, n_max)
+    info = compute_stats.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize < 40
