@@ -1,17 +1,19 @@
-"""Truncated power series over exact numbers, and the generating-function
+"""Truncated power series over the integers, and the generating-function
 side of every statistic identity.
 
 A TruncatedSeries knows its coefficients exactly through x**order.  All
 arithmetic truncates to the shorter operand, and multiplying by x**k extends
 the trusted order by k, so the `order` of any computed residual is exactly
-how far the identity has been verified.  Coefficients are exact: `int` when
-whole, `Fraction` otherwise.  There is no floating point and no tolerance
-anywhere: an identity passes only if its residual is identically zero.
+how far the identity has been verified.  Coefficients are plain `int`s:
+scalars are `int`s, every divisor has constant term 1 or -1, and each
+rational scalar of the formulas goes through `_whole`, which refuses a
+remainder.  There is no floating point and no tolerance anywhere: an
+identity passes only if its residual is identically zero.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
+from operator import index
 
 from .stats import compute_stats, core_count
 
@@ -22,27 +24,28 @@ MIN_LEDGER_ORDER = 4
 
 
 class DivisionByNonUnitError(ZeroDivisionError):
-    """Series division needs a divisor with a nonzero constant term."""
+    """Series division needs a divisor whose constant term is 1 or -1."""
 
 
 class IntegralityViolationError(ArithmeticError):
-    """A counting series produced a non-integer coefficient."""
+    """A scalar of the formulas that must be whole left a remainder."""
 
 
-def _exact(value) -> int | Fraction:
-    """An int or Fraction as an int when whole; anything else is a TypeError."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
-    return value.numerator if value.denominator == 1 else value
+def _whole(num: int, den: int) -> int:
+    """num / den, which the caller knows to be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise IntegralityViolationError(f"{num}/{den} is not an integer")
+    return q
 
 
 class TruncatedSeries:
-    """The coefficients of x**0 ... x**order, a tuple.  Immutable, equal and
-    hashed by its coefficients."""
+    """The integer coefficients of x**0 ... x**order, a tuple.  Immutable,
+    equal and hashed by its coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int | Fraction, ...]):
+    def __init__(self, coeffs: tuple[int, ...]):
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
@@ -66,7 +69,7 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> int | Fraction:
+    def __getitem__(self, k: int) -> int:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient of x^{k} beyond truncation order {self.order}")
         return self.coeffs[k]
@@ -90,7 +93,7 @@ class TruncatedSeries:
     def _coerced(self, other):
         if isinstance(other, TruncatedSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return constant(other, self.order)
         return None
 
@@ -117,8 +120,8 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(tuple(_exact(c * other) for c in self.coeffs))
+        if isinstance(other, int):
+            return TruncatedSeries(tuple(c * other for c in self.coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -137,11 +140,12 @@ class TruncatedSeries:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        if other.coeffs[0] == 0:
-            raise DivisionByNonUnitError("divisor has zero constant term")
+        inv0 = other.coeffs[0]   # 1 and -1, the units of Z, are their own inverses
+        if inv0 not in (1, -1):
+            raise DivisionByNonUnitError(
+                f"divisor has constant term {inv0}, not 1 or -1")
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        inv0 = _exact(1 / Fraction(b[0]))
         out = [0] * (n + 1)
         for k in range(n + 1):
             acc = a[k]
@@ -164,7 +168,7 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def max_abs(self) -> int | Fraction:
+    def max_abs(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
 
     def first_nonzero(self) -> int | None:
@@ -176,7 +180,7 @@ class TruncatedSeries:
 
 def series(values, order: int | None = None) -> TruncatedSeries:
     """Build a series from coefficients, zero-padded or cut to `order`."""
-    coeffs = [_exact(v) for v in values]
+    coeffs = [index(v) for v in values]
     if order is not None:
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -187,7 +191,7 @@ def series(values, order: int | None = None) -> TruncatedSeries:
 def constant(value, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
-    return TruncatedSeries((_exact(value),) + (0,) * order)
+    return TruncatedSeries((index(value),) + (0,) * order)
 
 
 def fuss_catalan_number(m: int, n: int) -> int:
@@ -205,14 +209,6 @@ def fuss_catalan_series(m: int, order: int) -> TruncatedSeries:
     return series([fuss_catalan_number(m, n) for n in range(order + 1)])
 
 
-def _require_integral(f: TruncatedSeries, label: str) -> TruncatedSeries:
-    for k, c in enumerate(f.coeffs):
-        if c.denominator != 1:
-            raise IntegralityViolationError(
-                f"{label}: coefficient of x^{k} is {c}, not an integer")
-    return f
-
-
 class SeriesBundle(namedtuple("SeriesBundle",
                               "m powers member layer size denom")):
     """Generating functions of the four ideal statistics at one slope m.
@@ -220,9 +216,8 @@ class SeriesBundle(namedtuple("SeriesBundle",
     `powers` holds F**0 ... F**(2m+2), built once by successive products:
     the plain poset j = 0 counts `powers[1]`, the count series F, and
     truncation j >= 1 counts `powers[m - j + 1]`.  `member`, `layer` and
-    `size` map the truncation index j to its series.  All counting series,
-    the powers included, are checked for integer coefficients at
-    construction.  `denom` is 1 - (m+1) x F**m, the divisor of the size
+    `size` map the truncation index j to its series.  Every series is over
+    the integers.  `denom` is 1 - (m+1) x F**m, the divisor of the size
     series.
     """
 
@@ -242,23 +237,22 @@ def stat_series(m: int, order: int) -> SeriesBundle:
     F = fuss_catalan_series(m, order)
     Fp = F.derivative()
     Fpp = Fp.derivative()
-    P = [constant(1, order), _require_integral(F, "count series")]
-    for k in range(2, 2 * m + 3):
-        P.append(_require_integral(P[-1] * F, f"count series power {k}"))
+    P = [constant(1, order), F]
+    for _ in range(2, 2 * m + 3):
+        P.append(P[-1] * F)
 
     t0 = comb(m + 1, 2) * (Fp * Fp).shift(2) / F
     r0 = (comb(m + 1, 2) * (Fp * t0).shift(1)
           + comb(m + 1, 3) * (Fp * Fp).shift(2)) / F
-    member = {0: _require_integral(t0, "member series j=0")}
-    layer = {0: _require_integral(r0, "layer series j=0")}
+    member, layer = {0: t0}, {0: r0}
     for j in range(1, m):
         p = m - j
-        tj = (m + 1 - j) * P[p] * t0 + comb(m + 1 - j, 2) * (Fp * P[p]).shift(1)
-        rj = ((m - j + 1) * P[p] * r0
-              + Fraction((m - j + 1) * (m + j), 2) * P[p] * t0
-              + Fraction(m + 2 * j - 1, 3) * comb(m - j + 1, 2) * (Fp * P[p]).shift(1))
-        member[j] = _require_integral(tj, f"member series j={j}")
-        layer[j] = _require_integral(rj, f"layer series j={j}")
+        member[j] = (p + 1) * P[p] * t0 + comb(p + 1, 2) * (Fp * P[p]).shift(1)
+        # (p + 1) + (m + j) = 2m + 1 is odd, so one of the two is even;
+        # m + 2j - 1 = p - 1 + 3j, and (p - 1) p (p + 1) has a factor 3
+        layer[j] = ((p + 1) * P[p] * r0
+                    + _whole((p + 1) * (m + j), 2) * P[p] * t0
+                    + _whole((m + 2 * j - 1) * comb(p + 1, 2), 3) * (Fp * P[p]).shift(1))
 
     denom = P[0] - (m + 1) * P[m].shift(1)
     g0 = ((m + 1) * (P[m] * r0).shift(1)
@@ -268,7 +262,7 @@ def stat_series(m: int, order: int) -> SeriesBundle:
           + comb(m + 2, 3) * (Fp * P[m]).shift(2)
           + comb(m + 2, 4) * (Fp * Fp * P[m - 1]).shift(3)
           - comb(m + 1, 2) * (P[m - 1] * t0 * t0).shift(1)) / denom
-    size = {0: _require_integral(g0, "size series j=0")}
+    size = {0: g0}
     if m >= 2:
         # truncation m: the plain poset relabelled, as in verify_stat_recursions
         t0p = t0.derivative()
@@ -287,7 +281,6 @@ def stat_series(m: int, order: int) -> SeriesBundle:
                        + j * (m - j) * (Fpp * P[q]).shift(2)
                        + j * (m - j) ** 2 * (Fp * Fp * P[q - 1]).shift(2)
                        - t0 * tnext)
-            _require_integral(size[j], f"size series j={j}")
             tnext, rnext, gnext = member[j], layer[j], size[j]
     return SeriesBundle(m, tuple(P), member, layer, size, denom)
 
@@ -372,21 +365,25 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
         tsum = tsum + P[j - 1] * T[j]
         tdsum = tdsum + P[j] * T[j].derivative()
         rsum = rsum + P[j - 1] * R[j]
+    half = _whole(m * m + m - 2, 2)   # m(m + 1) is even
     add("member-weighted-sum",
-        tsum - P[m - 1] * (Fraction(m * m + m - 2, 2) * T[0]
-                           + comb(m + 1, 3) * Fp.shift(1)))
+        tsum - P[m - 1] * (half * T[0] + comb(m + 1, 3) * Fp.shift(1)))
     add("member-derivative-weighted-sum",
         tdsum - P[m - 1] * (
-            Fraction(m * m + m - 2, 2) * F * T[0].derivative()
-            + Fraction((m - 1) * m * (m + 1), 3) * Fp * T[0]
+            half * F * T[0].derivative()
+            # three consecutive integers hold a factor 3
+            + _whole((m - 1) * m * (m + 1), 3) * Fp * T[0]
             + comb(m + 1, 3) * Fp * F
             + comb(m + 1, 3) * (Fpp * F).shift(1)
-            + Fraction((m - 1) * m * (m + 1) * (3 * m - 2), 24) * (Fp * Fp).shift(1)))
+            # the Stirling number S(m + 1, m - 1)
+            + _whole((m - 1) * m * (m + 1) * (3 * m - 2), 24) * (Fp * Fp).shift(1)))
     add("layer-weighted-sum",
         rsum - P[m - 1] * (
-            Fraction(m * m + m - 2, 2) * R[0]
-            + Fraction(m * (2 * m * m + 3 * m - 5), 6) * T[0]
-            + Fraction((m - 1) * m * m * (m + 1), 12) * Fp.shift(1)))
+            half * R[0]
+            # = (m - 1) m (2m + 5): even, and = 2 (m - 1) m (m + 1) mod 3
+            + _whole(m * (2 * m * m + 3 * m - 5), 6) * T[0]
+            # 3 divides (m - 1) m (m + 1); 4 divides m^2 or (m - 1)(m + 1)
+            + _whole((m - 1) * m * m * (m + 1), 12) * Fp.shift(1)))
 
     if m >= 2:
         add("member-join-relation",
@@ -424,8 +421,9 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
         # independently of the general-m expressions above.
         Bp = P[2].derivative()
         d2 = P[0] - 3 * P[2].shift(1)
+        # (n + 1) C(3n + 2, n + 1) = (3n + 2) C(3n + 1, n), gcd(n + 1, 3n + 2) = 1
         add("explicit-squared-count",
-            series([Fraction(comb(3 * n + 2, n + 1), 3 * n + 2)
+            series([_whole(comb(3 * n + 2, n + 1), 3 * n + 2)
                     for n in range(order + 1)]) - P[2])
         add("explicit-member-bottom", T[0] - 3 * (Fp * Fp).shift(2) / F)
         add("explicit-member-top", T[1] - (2 * F * T[0] + (Fp * F).shift(1)))
@@ -492,6 +490,6 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
                 ("size", bundle.size[j], rec.core_size_sum))
         for stat, srs, enumerated in rows:
             value = srs[n]
-            out.append(CrossCheck(m, j, n, stat, int(value), enumerated,
+            out.append(CrossCheck(m, j, n, stat, value, enumerated,
                                   value == enumerated))
     return out

@@ -487,6 +487,9 @@ def test_subcommand_import_footprint(argv, modules):
     assert {m for m in loaded if m.startswith("simcores")} \
         == {"simcores", *(f"simcores.{m}" for m in modules)}
     assert "dataclasses" not in loaded
+    # the series kernel is integer-only; `cores` reports its average as a Fraction
+    if argv[0] != "cores":
+        assert not loaded & {"fractions", "decimal"}
 
 
 def exit_code(argv):

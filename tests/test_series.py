@@ -5,13 +5,12 @@ from hypothesis import given, strategies as st
 
 from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              IntegralityViolationError, TruncatedSeries,
-                             _require_integral,
-                             check_identities, constant, cross_check,
+                             _whole, check_identities, constant, cross_check,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
 from simcores.stats import average_size_check
 
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+small_ints = st.integers(min_value=-30, max_value=30)
 
 
 def coeffs(f, upto=None):
@@ -25,24 +24,26 @@ def test_mul_example():
 
 
 def test_series_is_an_immutable_value():
-    f = series([1, 2, Fraction(1, 2)])
-    assert f == series([1, 2, Fraction(1, 2)]) != series([1, 2, 0])
-    assert hash(f) == hash(series([1, 2, Fraction(1, 2)]))
+    f = series([1, 2, -7])
+    assert f == series([1, 2, -7]) != series([1, 2, 0])
+    assert hash(f) == hash(series([1, 2, -7]))
     with pytest.raises(AttributeError):
         f.coeffs = (0,)
     with pytest.raises(AttributeError):
         del f.coeffs
-    assert repr(f) == "TruncatedSeries(coeffs=(1, 2, Fraction(1, 2)))"
+    assert repr(f) == "TruncatedSeries(coeffs=(1, 2, -7))"
 
 
 def test_constructors_reject_floats():
-    with pytest.raises(TypeError, match="int or Fraction"):
-        series([0.1])
-    with pytest.raises(TypeError, match="int or Fraction"):
-        constant(0.5, 3)
-    whole = series([Fraction(4, 2), Fraction(1, 3), True])
-    assert whole.coeffs == (2, Fraction(1, 3), 1)
-    assert type(whole[0]) is int and type(whole[2]) is int
+    # the coefficients are integers: floats and Fractions, whole or not, are refused
+    for bad in (0.1, 2.0, Fraction(1, 3), Fraction(4, 2)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            series([1, bad])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            constant(bad, 3)
+    whole = series([2, -3, True])
+    assert whole.coeffs == (2, -3, 1)
+    assert all(type(c) is int for c in whole.coeffs)
 
 
 def test_constructors_reject_negative_order():
@@ -65,8 +66,18 @@ def test_geometric_division():
 
 
 def test_division_by_nonunit():
-    with pytest.raises(DivisionByNonUnitError):
+    with pytest.raises(DivisionByNonUnitError, match="constant term 0"):
         constant(1, 3) / series([0, 1], order=3)
+    # 2 is no unit of the integer series ring: 1/(2 - x) is not integral
+    with pytest.raises(DivisionByNonUnitError, match="constant term 2"):
+        constant(1, 3) / series([2, -1], order=3)
+    with pytest.raises(DivisionByNonUnitError, match="constant term 2"):
+        series([2, 4, 6]) / 2
+    # -1 is its own inverse, and the quotient is exact
+    f = series([3, -1, 4, 1])
+    g = series([-1, 2, 0, 5])
+    q = f / g
+    assert q == series([-3, -5, -14, -44]) and q * g == f
 
 
 def test_pow_shift_truncate():
@@ -99,13 +110,19 @@ def test_arithmetic_truncates_to_shorter():
 def test_scalar_operations():
     f = series([1, 2, 3])
     assert 2 * f == series([2, 4, 6])
-    assert f * Fraction(1, 2) == series([Fraction(1, 2), 1, Fraction(3, 2)])
+    assert f * -3 == series([-3, -6, -9])
     assert f - 1 == series([0, 2, 3])
     assert 1 - f == series([0, -2, -3])
+    assert f + 2 == 2 + f == series([3, 2, 3])
+    for scalar in (Fraction(1, 2), Fraction(4, 2), 0.5):
+        for op in (lambda: f * scalar, lambda: scalar * f, lambda: f + scalar,
+                   lambda: scalar - f):
+            with pytest.raises(TypeError):
+                op()
 
 
-@given(st.lists(rationals, min_size=3, max_size=7),
-       st.lists(rationals, min_size=3, max_size=7))
+@given(st.lists(small_ints, min_size=3, max_size=7),
+       st.lists(small_ints, min_size=3, max_size=7))
 def test_product_rule(fa, ga):
     f, g = series(fa), series(ga)
     n = min(f.order, g.order)
@@ -192,8 +209,27 @@ def test_ledger_at_the_largest_guarded_slope_and_order():
 
 
 def test_integrality_guard():
-    with pytest.raises(IntegralityViolationError):
-        _require_integral(series([1, Fraction(1, 2)]), "demo")
+    assert _whole(12, 4) == 3 and _whole(-12, 4) == -3 and _whole(0, 7) == 0
+    assert type(_whole(10 ** 30, 5)) is int
+    for num, den in ((1, 2), (-1, 2), (7, 3), (10 ** 30 + 1, 10)):
+        with pytest.raises(IntegralityViolationError, match=f"{num}/{den}"):
+            _whole(num, den)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_ledger_and_cross_check_report_plain_ints(m):
+    # the reports carry the series' own ints, with no conversion on the way
+    checks = check_identities(m, 12)
+    assert all(type(c.residual_max_abs) is int for c in checks)
+    rows = cross_check(m, 5)
+    assert rows and all(type(r.series_value) is int for r in rows)
+
+
+def test_ledger_scalars_are_whole_beyond_the_guard():
+    # every `_whole` scalar of stat_series and of the ledger, on slopes past
+    # the CLI's guard of 40
+    for m in range(1, 61):
+        assert all(c.passed for c in check_identities(m, MIN_LEDGER_ORDER)), m
 
 
 def test_stat_series_rejects_tiny_order():
@@ -279,9 +315,10 @@ def test_identity_ledger_kinds(m):
 
 
 def test_failed_identity_reports_first_nonzero():
-    residual = series([0, 0, Fraction(1, 3), 2])
+    residual = series([0, 0, -1, 2, -3])
     assert residual.first_nonzero() == 2
-    assert residual.max_abs() == 2
+    assert residual.max_abs() == 3
+    assert series([0, 0]).first_nonzero() is None and series([0, 0]).max_abs() == 0
 
 
 def test_cross_check_matches_enumeration_and_totals():
@@ -299,5 +336,5 @@ def test_cross_check_single_slice():
 
 def test_truncated_series_value_semantics():
     f = series([1, 2, 3])
-    assert f == TruncatedSeries((Fraction(1), Fraction(2), Fraction(3)))
+    assert f == TruncatedSeries((1, 2, 3))
     assert f != f.truncate(1)
