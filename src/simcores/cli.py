@@ -15,6 +15,7 @@ loads only those, and `--help` none.
 import argparse
 import os
 import sys
+from math import gcd
 
 MAX_LISTED_PARTS = 6_250_000   # (11, 13) lists 6,240,360
 MAX_LISTED_GAPS = 2_499        # the largest g with g(g + 1) <= that
@@ -61,6 +62,12 @@ def _json(value):
     return json.dumps(value, indent=2)
 
 
+def _ratio(num, den):
+    """num/den (den > 0) in lowest terms, as `str(Fraction(num, den))` does."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def _cmd_cores(args):
     from .betaset import core_partitions
     from .partitions import canonical_order
@@ -84,10 +91,11 @@ def _cmd_cores(args):
         raise ArithmeticError(
             f"the listing has {listed[0]} cores of total size {listed[1]}, the "
             f"transfer counts {check.count} of total size {check.total}")
+    average = _ratio(check.total, check.count)
     if args.format == "json":
         # json.dumps(payload, indent=2), written core by core
         head = _json({"a": args.a, "b": args.b, "count": check.count,
-                      "total_size": check.total, "average": str(check.average),
+                      "total_size": check.total, "average": average,
                       "matches": check.matches})
         blocks = ("[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
                   if p else "[]" for p in cores)
@@ -103,7 +111,7 @@ def _cmd_cores(args):
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
-        print(f"average size: {check.average}")
+        print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
         sys.stdout.writelines(f"  {list(p)}\n" for p in cores)
     return 0 if check.matches else 1

@@ -104,23 +104,21 @@ def is_slope_pair(a: int, b: int) -> bool:
     return lo == 1 or hi % lo == 1
 
 
-class AverageSizeCheck(namedtuple("AverageSizeCheck", "a b count total rhs "
-                                                     "average matches")):
-    """Total and average core size against the closed-form prediction.
-    `count`, the number of cores, is a field: it hides `tuple.count`."""
+class AverageSizeCheck(namedtuple("AverageSizeCheck", "a b count total matches")):
+    """Count and total size of the (a, b)-cores (`count` hides `tuple.count`);
+    `matches` is Armstrong's average (a-1)(b-1)(a+b+1)/24 multiplied out,
+    the integer equation 24 * total == (a-1)(b-1)(a+b+1) * core_count(a, b)."""
 
     __slots__ = ()
 
 
 def average_size_check(a: int, b: int) -> AverageSizeCheck:
-    """Sum the sizes of all (a, b)-cores by the lattice-path transfer and
-    compare with Armstrong's (a-1)(b-1)(a+b+1)/24 * core_count(a, b)."""
-    from fractions import Fraction   # the totals and recursions need none
+    """Count and sum the sizes of all (a, b)-cores by the lattice-path
+    transfer; check 24 * total == (a-1)(b-1)(a+b+1) * core_count(a, b)."""
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
     count, _, _, total = _path_totals(a, b)[-1]
-    rhs = Fraction((a - 1) * (b - 1) * (a + b + 1), 24) * core_count(a, b)
-    return AverageSizeCheck(a, b, count, total, rhs,
-                            Fraction(total, count), total == rhs)
+    rhs = (a - 1) * (b - 1) * (a + b + 1) * core_count(a, b)
+    return AverageSizeCheck(a, b, count, total, 24 * total == rhs)
 
 
 class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,34 @@ def test_cores_json(capsys):
     assert payload["matches"] is True
     assert [5, 3, 1, 1] in payload["cores"]
     assert payload["cores"][0] == []
+
+
+@pytest.mark.parametrize("a,b,average", [(1, 1, "0"), (2, 3, "1/2"),
+                                         (3, 4, "2"), (3, 7, "11/2")])
+def test_cores_average_in_every_format(capsys, a, b, average):
+    # a zero average, a ratio and a whole number; JSON and plain print the
+    # one reduced string, str(Fraction(total, count)), and CSV lists the cores
+    argv = ["cores", "--a", str(a), "--b", str(b)]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    count, total = payload["count"], payload["total_size"]
+    assert code == 0 and payload["matches"] is True
+    assert payload["average"] == average == str(Fraction(total, count))
+    code, out, _ = run(capsys, *argv, "--format", "plain")
+    assert code == 0
+    assert out.splitlines()[:4] == [f"({a}, {b})-cores: {count}",
+                                    f"total size: {total}",
+                                    f"average size: {average}",
+                                    "matches closed form: yes"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    rows = out.splitlines()
+    assert code == 0 and rows[0] == "parts,size" and len(rows) == count + 1
+    assert sum(int(row.rsplit(",", 1)[1]) for row in rows[1:]) == total
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+def test_ratio_is_the_reduced_fraction(num, den):
+    assert cli._ratio(num, den) == str(Fraction(num, den))
 
 
 def test_cores_noncoprime_exits_2(capsys):
@@ -487,9 +516,7 @@ def test_subcommand_import_footprint(argv, modules):
     assert {m for m in loaded if m.startswith("simcores")} \
         == {"simcores", *(f"simcores.{m}" for m in modules)}
     assert "dataclasses" not in loaded
-    # the series kernel is integer-only; `cores` reports its average as a Fraction
-    if argv[0] != "cores":
-        assert not loaded & {"fractions", "decimal"}
+    assert not loaded & {"fractions", "decimal", "numbers"}
 
 
 def exit_code(argv):

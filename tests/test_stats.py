@@ -238,10 +238,16 @@ def test_core_count_matches_plain_family_counts():
 
 def test_average_size_check_examples():
     chk = average_size_check(3, 7)
-    assert chk.total == 66 and chk.average == Fraction(11, 2) and chk.matches
+    assert chk == (3, 7, 12, 66, True)
+    assert chk.total == 66 and chk.count == 12 and chk.matches
+    # 24 * 66 == (3-1)(7-1)(3+7+1) * 12: the average is 11/2
+    assert 24 * chk.total == 2 * 6 * 11 * chk.count
+    assert cli._ratio(chk.total, chk.count) == "11/2"
     assert average_size_check(2, 7).total == 10
+    # a - 1 = 0: both sides of the equation are zero
     chk = average_size_check(1, 5)
-    assert chk.total == 0 and chk.rhs == 0 and chk.matches
+    assert chk == (1, 5, 1, 0, True)
+    assert chk.total == 0 and chk.matches
 
 
 def test_average_size_check_guard(monkeypatch, capsys):
@@ -284,14 +290,36 @@ def test_is_slope_pair():
     assert not is_slope_pair(3, 8)
 
 
+def armstrong(a, b, total):
+    """The oracle for `matches`: Armstrong's rational equation."""
+    return total == Fraction((a - 1) * (b - 1) * (a + b + 1), 24) \
+        * core_count(a, b)
+
+
 def test_extended_average_size_report_mode():
     # Armstrong's formula holds for every coprime pair (Johnson,
-    # arXiv:1502.07675), not only for the slope family the paper proves
+    # arXiv:1502.07675), not only for the slope family the paper proves;
+    # Fraction is the oracle for `matches` and for the average `cores` prints
     pairs = [(a, b) for b in range(2, 61) for a in range(1, b)
              if gcd(a, b) == 1]
     assert len(pairs) == 1101
-    mismatches = [p for p in pairs if not average_size_check(*p).matches]
+    checks = [average_size_check(*p) for p in pairs]
+    mismatches = [p for p, chk in zip(pairs, checks) if not chk.matches]
     assert mismatches == []
+    for (a, b), chk in zip(pairs, checks):
+        assert chk.matches == armstrong(a, b, chk.total), (a, b)
+        assert cli._ratio(chk.total, chk.count) \
+            == str(Fraction(chk.total, chk.count)), (a, b)
+
+
+def test_average_size_check_refuses_a_total_one_off(monkeypatch):
+    real = stats._path_totals
+    for delta in (-1, 1):
+        monkeypatch.setattr(stats, "_path_totals", lambda a, b: [
+            (c, t, r, g + delta) for c, t, r, g in real(a, b)])
+        for a, b in [(1, 2), (2, 3), (3, 7), (13, 29)]:
+            chk = average_size_check(a, b)
+            assert not chk.matches and not armstrong(a, b, chk.total), (a, b)
 
 
 def test_size_total_equals_partition_size_total():
