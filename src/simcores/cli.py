@@ -56,10 +56,12 @@ def _int_at_least(low):
     return integer
 
 
-def _json(value):
-    """`value` as indented JSON; only --format json loads `json`."""
+def _print_json(value):
+    """Print `json.dumps(value, indent=2)` chunk by chunk, never whole; only
+    --format json loads `json`."""
     import json
-    return json.dumps(value, indent=2)
+    sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(value))
+    print()
 
 
 def _ratio(num, den):
@@ -93,10 +95,11 @@ def _cmd_cores(args):
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
     if args.format == "json":
+        import json
         # json.dumps(payload, indent=2), written core by core
-        head = _json({"a": args.a, "b": args.b, "count": check.count,
-                      "total_size": check.total, "average": average,
-                      "matches": check.matches})
+        head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
+                           "total_size": check.total, "average": average,
+                           "matches": check.matches}, indent=2)
         blocks = ("[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
                   if p else "[]" for p in cores)
         sys.stdout.write(head[:-2] + ',\n  "cores": [\n    ' + next(blocks))
@@ -126,8 +129,8 @@ def _cmd_poset(args):
     if args.format == "dot":
         print(to_dot(poset))
     elif args.format == "json":
-        print(_json({"a": poset.a, "b": poset.b, "elements": poset.elements,
-                     "covers": poset.covers}))
+        _print_json({"a": poset.a, "b": poset.b, "elements": poset.elements,
+                     "covers": poset.covers})
     else:
         print(f"elements: {list(poset.elements)}")
         for hi, lo in poset.covers:
@@ -153,7 +156,7 @@ def _report(rows, args, plain):
     `plain.format_map(row)` line each, led by "ok   " or "FAIL " when the row
     has a "pass" key; exit 1 when a row carries a false "pass"."""
     if args.format == "json":
-        print(_json(rows))
+        _print_json(rows)
     elif args.format == "csv":
         print(",".join(rows[0]) if rows else "")
         for r in rows:

@@ -11,11 +11,11 @@ remainder.  There is no floating point and no tolerance anywhere: an
 identity passes only if its residual is identically zero.
 """
 
-from collections import namedtuple
+from collections import ChainMap, namedtuple
 from math import comb
 from operator import index
 
-from .stats import compute_stats, core_count
+from .stats import as_truncation_m, compute_stats, core_count, recursion_rhs
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -210,15 +210,15 @@ def fuss_catalan_series(m: int, order: int) -> TruncatedSeries:
 
 
 class SeriesBundle(namedtuple("SeriesBundle",
-                              "m powers member layer size denom")):
+                              "m powers count member layer size denom")):
     """Generating functions of the four ideal statistics at one slope m.
 
-    `powers` holds F**0 ... F**(2m+2), built once by successive products:
-    the plain poset j = 0 counts `powers[1]`, the count series F, and
-    truncation j >= 1 counts `powers[m - j + 1]`.  `member`, `layer` and
-    `size` map the truncation index j to its series.  Every series is over
-    the integers.  `denom` is 1 - (m+1) x F**m, the divisor of the size
-    series.
+    `powers` holds F**0 ... F**(2m+2), built once by successive products.
+    `count` (hiding `tuple.count`) maps truncation j = 0 .. m to its count
+    series: `powers[1]`, the count series F, at j = 0, and
+    `powers[m - j + 1]` at j >= 1.  `member`, `layer` and `size` map each
+    j < m to its series.  Every series is over the integers.  `denom` is
+    1 - (m+1) x F**m, the divisor of the size series.
     """
 
     __slots__ = ()
@@ -227,19 +227,23 @@ class SeriesBundle(namedtuple("SeriesBundle",
 def stat_series(m: int, order: int) -> SeriesBundle:
     """Build every statistic series from the count series F.
 
-    The member and layer series come from their closed forms; the size
-    series for the truncated posets are chained down from the plain poset
-    read as truncation m (see `verify_stat_recursions`), which leaves the
-    bottom join relation as an independent check in `check_identities`.
+    The member and layer series, and the plain poset's size series, come
+    from their closed forms.  The size series of truncation j >= 1 is the
+    `recursion_rhs` of its step, chained down from the plain poset read as
+    truncation m (`as_truncation_m`), so the size join relation is the
+    ledger's one derived check of the chain.  At j = 0 the terms with a
+    factor j vanish: the join sees a fault in one only through size[1].
+    `verify_stat_recursions` and `cross_check` hold every step against the
+    lattice-path grid directly.
     """
     if order < 3:
         raise ValueError("order must be >= 3")
     F = fuss_catalan_series(m, order)
     Fp = F.derivative()
-    Fpp = Fp.derivative()
     P = [constant(1, order), F]
     for _ in range(2, 2 * m + 3):
         P.append(P[-1] * F)
+    A = (F, *P[m:0:-1])
 
     t0 = comb(m + 1, 2) * (Fp * Fp).shift(2) / F
     r0 = (comb(m + 1, 2) * (Fp * t0).shift(1)
@@ -264,25 +268,12 @@ def stat_series(m: int, order: int) -> SeriesBundle:
           - comb(m + 1, 2) * (P[m - 1] * t0 * t0).shift(1)) / denom
     size = {0: g0}
     if m >= 2:
-        # truncation m: the plain poset relabelled, as in verify_stat_recursions
-        t0p = t0.derivative()
-        tnext, rnext = t0, r0 + m * t0
-        gnext = g0 + r0 + (m + 1) * t0 + m * t0p.shift(1)
+        _, *top = as_truncation_m(m, F, t0, r0, g0)
+        T, R, G = (ChainMap(s, {m: x})
+                   for s, x in zip((member, layer, size), top))
         for j in range(m - 1, 0, -1):
-            q = m - j
-            size[j] = (F * gnext + (Fp * rnext).shift(1)
-                       - (F * tnext.derivative()).shift(1)
-                       + P[q] * g0 + P[q] * r0
-                       + (m - j) * (Fp * P[q - 1] * r0).shift(1)
-                       + (j + 1) * P[q] * t0
-                       + j * (m - j) * (Fp * P[q - 1] * t0).shift(1)
-                       + j * (P[q] * t0p).shift(1)
-                       + (2 * j + 1) * (m - j) * (Fp * P[q]).shift(1)
-                       + j * (m - j) * (Fpp * P[q]).shift(2)
-                       + j * (m - j) ** 2 * (Fp * Fp * P[q - 1]).shift(2)
-                       - t0 * tnext)
-            tnext, rnext, gnext = member[j], layer[j], size[j]
-    return SeriesBundle(m, tuple(P), member, layer, size, denom)
+            size[j] = recursion_rhs("size", j, A, T, R, G)
+    return SeriesBundle(m, tuple(P), A, member, layer, size, denom)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "identity m effective_order "
@@ -303,12 +294,16 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     Each derived entry subtracts the two sides of one identity as truncated
     series; it passes only when the residual is identically zero through its
     effective order.  Definitional entries name the formulas `stat_series`
-    builds its series from.  Identities whose index families are empty at
-    this m are omitted rather than trivialized, with one exception: at m = 1
-    the weighted sums `member-weighted-sum`, `member-derivative-weighted-sum`
-    and `layer-weighted-sum` compare an empty sum over 1 <= j < m with a side
-    whose every coefficient has a factor m - 1, and are kept so that the
-    `series-verify --m 1` report keeps the rows it has always printed.
+    builds its series from.  A derived join or step relation is
+    `S[j] - recursion_rhs(...)`, the recursion `verify_stat_recursions`
+    checks on the grid; the size join reads the terms with a factor j only
+    through size[1] (see `stat_series`).  Identities whose index families
+    are empty at this m are omitted rather than trivialized, with one
+    exception: at m = 1 the weighted sums `member-weighted-sum`,
+    `member-derivative-weighted-sum` and `layer-weighted-sum` compare an
+    empty sum over 1 <= j < m with a side whose every coefficient has a
+    factor m - 1, and are kept so that the `series-verify --m 1` report
+    keeps the rows it has always printed.
     """
     if m < 1 or order < MIN_LEDGER_ORDER:
         raise ValueError(f"need m >= 1 and order >= {MIN_LEDGER_ORDER}")
@@ -386,32 +381,16 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
             + _whole((m - 1) * m * m * (m + 1), 12) * Fp.shift(1)))
 
     if m >= 2:
-        add("member-join-relation",
-            T[0] - ((F * T[1]).shift(1) + m * (Fp * P[m]).shift(2)
-                    + (P[m] * T[0]).shift(1)))
-        built("member-top-relation", T[m - 1])
-        for j in range(1, m - 1):
-            add(f"member-step-relation[j={j}]",
-                T[j] - (F * T[j + 1] + (m - j) * (Fp * P[m - j]).shift(1)
-                        + P[m - j] * T[0]))
-        add("layer-join-relation",
-            R[0] - ((F * R[1]).shift(1) + (P[m] * R[0]).shift(1)))
-        built("layer-top-relation", R[m - 1])
-        for j in range(1, m - 1):
-            add(f"layer-step-relation[j={j}]",
-                R[j] - (F * R[j + 1] + j * P[m - j] * T[0]
-                        + j * (m - j) * (Fp * P[m - j]).shift(1)
-                        + P[m - j] * R[0]))
-        add("size-join-relation",
-            G[0] - ((F * G[1]).shift(1) + (Fp * R[1]).shift(2)
-                    - (F * T[1].derivative()).shift(2)
-                    + (P[m] * G[0]).shift(1) + (P[m] * R[0]).shift(1)
-                    + m * (Fp * P[m - 1] * R[0]).shift(2)
-                    + (P[m] * T[0]).shift(1) + m * (Fp * P[m]).shift(2)
-                    - (T[0] * T[1]).shift(1)))
-        built("size-top-relation", G[m - 1])
-        for j in range(1, m - 1):
-            built(f"size-step-relation[j={j}]", G[j])
+        for stat, S in (("member", T), ("layer", R), ("size", G)):
+            add(f"{stat}-join-relation",
+                S[0] - recursion_rhs(stat, 0, b.count, T, R, G))
+            built(f"{stat}-top-relation", S[m - 1])
+            for j in range(1, m - 1):
+                name = f"{stat}-step-relation[j={j}]"
+                if stat == "size":   # `stat_series` builds G[j] by this relation
+                    built(name, G[j])
+                else:
+                    add(name, S[j] - recursion_rhs(stat, j, b.count, T, R, G))
 
     add("average-size-identity",
         m * (m + 1) * Fppp.shift(3) + m * (2 * m + 4) * Fpp.shift(2) - 24 * G[0])
@@ -484,7 +463,7 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     out = []
     for rec in records:
         j, n = rec.family.j, rec.family.n
-        rows = (("count", bundle.powers[m - j + 1 if j else 1], rec.ideal_count),
+        rows = (("count", bundle.count[j], rec.ideal_count),
                 ("member", bundle.member[j], rec.member_sum),
                 ("layer", bundle.layer[j], rec.layer_sum),
                 ("size", bundle.size[j], rec.core_size_sum))

@@ -127,74 +127,65 @@ class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):
     __slots__ = ()
 
 
+def _theta(f):
+    """x * d/dx of a series: coefficient n times n, at f's own order (order
+    0 too, where `derivative` refuses)."""
+    return type(f)(tuple(n * c for n, c in enumerate(f.coeffs)))
+
+
+def as_truncation_m(m, a, t, r, g):
+    """The four series of the plain poset, the gap poset of (n, m*n + 1),
+    read as truncation m of that of (n + 1, m*(n + 1) + 1): runner k becomes
+    runner k + 1, each layer rises by m and each label by 1 + m*(n + 1) +
+    its plain layer."""
+    return a, t, r + m * t, g + r + (m + 1) * t + m * _theta(t)
+
+
+def recursion_rhs(stat, j, A, T, R, G):
+    """The right side of the recursion of `stat` (count, member, layer or
+    size) at truncation j, as a series.  A, T, R and G map each truncation
+    index 0 .. m to its series, index m being `as_truncation_m` of index 0.
+    The join, j = 0, is x times the step form at j = 0, plus 1 for the count.
+    """
+    a0, a, t0, t = A[0], A[j + 1], T[0], T[j + 1]
+    if stat == "count":
+        rhs = a * a0
+    elif stat == "member":
+        rhs = (t + _theta(a)) * a0 + a * t0
+    elif stat == "layer":
+        rhs = a0 * R[j + 1] + j * _theta(a) * a0 + a * (R[0] + j * t0)
+    else:
+        # every label of truncation j + 1 rises by j(n + 1) + 1 in truncation j
+        c = a * t0 + _theta(a) * a0
+        rhs = (a0 * G[j + 1] + _theta(a0) * R[j + 1] - a0 * _theta(t)
+               + a * (G[0] + R[0]) + _theta(a) * R[0]
+               + j * _theta(c) + (j + 1) * c - t * t0)
+    return rhs if j else rhs.shift(1) + (1 if stat == "count" else 0)
+
+
 def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     """Check the convolution recursions of the four statistics against
-    the grid `compute_stats(m, n_max)`, which refuses an invalid grid.
-
-    Index m is the gap poset of (n, m*n + 1) read as truncation m of that
-    of (n + 1, m*(n + 1) + 1): its runner k is runner k + 1 there, and each
-    member's layer rises by m and its label by 1 + m*(n + 1) + its plain
-    layer.  So the "-top" rows are the step formulas at j = m - 1.
-    For m = 1 only the count and member recursions survive the collapse;
-    the layer and size recursions mix adjacent layers of the truncation and
-    need m >= 2, so the degenerate report contains just those two families.
+    the grid `compute_stats(m, n_max)`, which refuses an invalid grid: row
+    (name, n) compares coefficient n of a statistic's series with that of
+    its `recursion_rhs`.  Index m being the plain poset, the "-top" rows are
+    the step formulas at j = m - 1.  At m = 1 only the count and member
+    recursions are reported: the layer and size recursions mix adjacent
+    layers of the truncation and need m >= 2.
     """
-    recs = {(rec.family.j, rec.family.n): rec[1:]
-            for rec in compute_stats(m, n_max)}
-    for n in range(n_max + 1):
-        a, t, r, g = recs[0, n]
-        recs[m, n] = a, t, r + m * t, g + r + (m * (n + 1) + 1) * t
-
-    def A(j, n): return recs[j, n][0]
-    def T(j, n): return recs[j, n][1]
-    def R(j, n): return recs[j, n][2]
-    def G(j, n): return recs[j, n][3]
-
-    checks = []
-
-    def add(name, n, lhs, rhs):
-        checks.append(RecursionCheck(name, m, n, lhs, rhs, lhs == rhs))
-
-    def step(stat, j):
-        return f"{stat}-top" if j == m - 1 else f"{stat}-step[j={j}]"
-
-    for n in range(n_max + 1):
-        add("count-join", n, A(0, n),
-            (1 if n == 0 else 0) + sum(A(1, i) * A(0, n - i - 1) for i in range(n)))
-        for j in range(1, m):
-            add(f"count-step[j={j}]", n, A(j, n),
-                sum(A(j + 1, i) * A(0, n - i) for i in range(n + 1)))
-        add("member-join", n, T(0, n),
-            sum(T(1, i) * A(0, n - i - 1) + i * A(1, i) * A(0, n - i - 1)
-                + A(1, i) * T(0, n - i - 1) for i in range(n)))
-        for j in range(1, m):
-            add(step("member", j), n, T(j, n),
-                sum(T(j + 1, i) * A(0, n - i) + i * A(j + 1, i) * A(0, n - i)
-                    + A(j + 1, i) * T(0, n - i) for i in range(n + 1)))
-        if m < 2:
-            continue
-        add("layer-join", n, R(0, n),
-            sum(A(0, n - i - 1) * R(1, i) + A(1, i) * R(0, n - i - 1)
-                for i in range(n)))
-        for j in range(1, m):
-            add(step("layer", j), n, R(j, n),
-                sum(A(0, n - i) * R(j + 1, i) + i * j * A(j + 1, i) * A(0, n - i)
-                    + A(j + 1, i) * (R(0, n - i) + j * T(0, n - i))
-                    for i in range(n + 1)))
-        add("size-join", n, G(0, n),
-            sum(A(0, n - i - 1) * (G(1, i) + (n - i - 1) * R(1, i) - i * T(1, i))
-                + A(1, i) * (G(0, n - i - 1) + (i + 1) * R(0, n - i - 1)
-                             + T(0, n - i - 1))
-                + i * A(1, i) * A(0, n - i - 1)
-                - T(1, i) * T(0, n - i - 1)
-                for i in range(n)))
-        for j in range(1, m):
-            add(step("size", j), n, G(j, n),
-                sum(A(0, n - i) * (G(j + 1, i) + (n - i) * R(j + 1, i)
-                                   - i * T(j + 1, i))
-                    + A(j + 1, i) * (G(0, n - i) + (i + 1) * R(0, n - i)
-                                     + (j * (n + 1) + 1) * T(0, n - i))
-                    + (j * (n + 1) + 1) * i * A(j + 1, i) * A(0, n - i)
-                    - T(j + 1, i) * T(0, n - i)
-                    for i in range(n + 1)))
-    return checks
+    grid = compute_stats(m, n_max)
+    from .series import series   # series imports this module
+    w = n_max + 1
+    # truncation j's four grid columns as series, then A, T, R, G over j <= m
+    by_j = [[series(c) for c in list(zip(*grid[k:k + w]))[1:]]
+            for k in range(0, m * w, w)]
+    maps = list(zip(*by_j, as_truncation_m(m, *by_j[0])))
+    sides = []
+    for stat, S in zip(("count", "member", "layer", "size")[:2 if m < 2 else 4],
+                       maps):
+        for j in range(m):
+            name = (f"{stat}-join" if j == 0 else
+                    f"{stat}-top" if j == m - 1 and stat != "count" else
+                    f"{stat}-step[j={j}]")
+            sides.append((name, S[j], recursion_rhs(stat, j, *maps)))
+    return [RecursionCheck(name, m, n, lhs[n], rhs[n], lhs[n] == rhs[n])
+            for n in range(w) for name, lhs, rhs in sides]

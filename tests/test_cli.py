@@ -283,6 +283,25 @@ def test_recursions_exit_zero(capsys):
     assert all(r["pass"] for r in rows)
 
 
+@pytest.mark.parametrize("argv", [("recursions", "--m", "6", "--max-n", "4"),
+                                  ("poset", "--a", "5", "--b", "7")])
+def test_json_is_written_chunk_by_chunk(monkeypatch, argv):
+    # a JSON report is never held whole: each write is one encoder chunk
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([*argv, "--format", "json"]) == 0
+    value = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    assert len(writes) > len(value) and max(map(len, writes)) < 40
+
+
 def test_series_verify(capsys):
     code, out, _ = run(capsys, "series-verify", "--m", "2", "--order", "12",
                        "--format", "json")
@@ -493,7 +512,7 @@ FOOTPRINTS = [
     (("--help",), ()),
     (("poset", "--a", "3", "--b", "7"), ("posets",)),
     (("stats", "--m", "2", "--max-n", "3"), ("posets", "stats")),
-    (("recursions", "--m", "2", "--max-n", "3"), ("posets", "stats")),
+    (("recursions", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
     (("series-verify", "--m", "2"), ("posets", "series", "stats")),
     (("cross-check", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
     (("cores", "--a", "3", "--b", "7"),

@@ -8,6 +8,7 @@ from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              _whole, check_identities, constant, cross_check,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
+import simcores.series
 from simcores.stats import average_size_check
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -291,6 +292,33 @@ def test_identity_effective_orders():
         assert all(c.effective_order >= 1 for c in checks), m
     with pytest.raises(ValueError):
         check_identities(2, MIN_LEDGER_ORDER - 1)
+
+
+def test_every_relation_is_verified_to_the_full_order():
+    # the join and step relations lose no order, on slopes no gated job runs
+    for m in range(2, 13):
+        for order in (4, 12):
+            rows = [c for c in check_identities(m, order) if "-relation" in c.identity]
+            assert len(rows) == 3 * (m - 1) + 3
+            assert all(c.effective_order == order for c in rows), (m, order)
+
+
+def test_a_fault_in_size_one_fails_the_size_join_and_cross_check(monkeypatch):
+    real = simcores.series.stat_series
+
+    def faulty(m, order):
+        b = real(m, order)
+        b.size[1] = b.size[1] + series([0, 0, 1], order)
+        return b
+
+    monkeypatch.setattr(simcores.series, "stat_series", faulty)
+    for m in (2, 3, 5):
+        failed = {c.identity for c in check_identities(m, 12) if not c.passed}
+        # at m = 2 the explicit slope-two size series sees it too
+        expected = {"size-join-relation"} | ({"explicit-size-top"} if m == 2 else set())
+        assert failed == expected, m
+        assert [(r.j, r.n, r.statistic) for r in cross_check(m, 4)
+                if not r.passed] == [(1, 2, "size")]
 
 
 @pytest.mark.parametrize("m", range(1, 7))

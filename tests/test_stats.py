@@ -364,6 +364,100 @@ def test_member_join_recursion_hand_instance():
     assert entry.lhs == entry.rhs == 3 and entry.passed
 
 
+def convolution_recursions(m, n_max):
+    """Oracle for `verify_stat_recursions`: each recursion as a sum of
+    products of grid totals, in the report's row order."""
+    recs = {(rec.family.j, rec.family.n): rec[1:]
+            for rec in compute_stats(m, n_max)}
+    for n in range(n_max + 1):
+        # the plain poset read as truncation m
+        a, t, r, g = recs[0, n]
+        recs[m, n] = a, t, r + m * t, g + r + (m * (n + 1) + 1) * t
+
+    def A(j, n): return recs[j, n][0]
+    def T(j, n): return recs[j, n][1]
+    def R(j, n): return recs[j, n][2]
+    def G(j, n): return recs[j, n][3]
+
+    checks = []
+
+    def add(name, n, lhs, rhs):
+        checks.append((name, m, n, lhs, rhs, lhs == rhs))
+
+    def step(stat, j):
+        return f"{stat}-top" if j == m - 1 else f"{stat}-step[j={j}]"
+
+    for n in range(n_max + 1):
+        add("count-join", n, A(0, n),
+            (1 if n == 0 else 0) + sum(A(1, i) * A(0, n - i - 1) for i in range(n)))
+        for j in range(1, m):
+            add(f"count-step[j={j}]", n, A(j, n),
+                sum(A(j + 1, i) * A(0, n - i) for i in range(n + 1)))
+        add("member-join", n, T(0, n),
+            sum(T(1, i) * A(0, n - i - 1) + i * A(1, i) * A(0, n - i - 1)
+                + A(1, i) * T(0, n - i - 1) for i in range(n)))
+        for j in range(1, m):
+            add(step("member", j), n, T(j, n),
+                sum(T(j + 1, i) * A(0, n - i) + i * A(j + 1, i) * A(0, n - i)
+                    + A(j + 1, i) * T(0, n - i) for i in range(n + 1)))
+        if m < 2:
+            continue
+        add("layer-join", n, R(0, n),
+            sum(A(0, n - i - 1) * R(1, i) + A(1, i) * R(0, n - i - 1)
+                for i in range(n)))
+        for j in range(1, m):
+            add(step("layer", j), n, R(j, n),
+                sum(A(0, n - i) * R(j + 1, i) + i * j * A(j + 1, i) * A(0, n - i)
+                    + A(j + 1, i) * (R(0, n - i) + j * T(0, n - i))
+                    for i in range(n + 1)))
+        add("size-join", n, G(0, n),
+            sum(A(0, n - i - 1) * (G(1, i) + (n - i - 1) * R(1, i) - i * T(1, i))
+                + A(1, i) * (G(0, n - i - 1) + (i + 1) * R(0, n - i - 1)
+                             + T(0, n - i - 1))
+                + i * A(1, i) * A(0, n - i - 1)
+                - T(1, i) * T(0, n - i - 1)
+                for i in range(n)))
+        for j in range(1, m):
+            add(step("size", j), n, G(j, n),
+                sum(A(0, n - i) * (G(j + 1, i) + (n - i) * R(j + 1, i)
+                                   - i * T(j + 1, i))
+                    + A(j + 1, i) * (G(0, n - i) + (i + 1) * R(0, n - i)
+                                     + (j * (n + 1) + 1) * T(0, n - i))
+                    + (j * (n + 1) + 1) * i * A(j + 1, i) * A(0, n - i)
+                    - T(j + 1, i) * T(0, n - i)
+                    for i in range(n + 1)))
+    return checks
+
+
+@pytest.mark.parametrize("m,n_max", [(m, n) for m in range(1, 9)
+                                     for n in range(9)] + [(40, 10)])
+def test_recursions_match_the_convolution_oracle(m, n_max):
+    # n_max = 0 runs the series side at order 0
+    assert [tuple(c) for c in verify_stat_recursions(m, n_max)] \
+        == convolution_recursions(m, n_max)
+
+
+def test_recursions_fail_exactly_where_a_grid_total_is_off(monkeypatch, capsys):
+    # core_size_sum at (j = 1, n = 2) one too large: it is the left side of
+    # size-step[j=1] at n = 2 and a term of size-join at every n >= 3
+    real = stats.compute_stats
+
+    def off(m, n_max):
+        return tuple(rec._replace(core_size_sum=rec.core_size_sum + 1)
+                     if rec.family[1:] == (1, 2) else rec
+                     for rec in real(m, n_max))
+
+    monkeypatch.setattr(stats, "compute_stats", off)
+    assert cli.main(["recursions", "--m", "3", "--max-n", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 * 3 * 4
+    failed = {line for line in lines if line.startswith("FAIL ")}
+    assert {line.split(":")[0] for line in failed} == {
+        "FAIL size-step[j=1] n=2", "FAIL size-join n=3",
+        "FAIL size-join n=4", "FAIL size-join n=5"}
+    assert all(line.startswith("ok   ") for line in set(lines) - failed)
+
+
 @pytest.mark.parametrize("m,n_max", [(2, 4), (3, 3)])
 def test_recursions_quick(m, n_max):
     checks = verify_stat_recursions(m, n_max)
