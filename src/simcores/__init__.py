@@ -14,7 +14,7 @@ constructor is `simcores.series.series`: `simcores.series` is the submodule.
 from importlib import import_module
 
 _EXPORTS = {
-    "betaset": ("NotBetaSetError", "core_partitions", "ideal_to_partition",
+    "betaset": ("NotBetaSetError", "cores_by_size", "ideal_to_partition",
                 "partition_to_ideal", "size_via_ideal"),
     "cli": ("EnumerationTooLargeError",),
     "partitions": ("conjugate", "enumerate_cores_bounded", "hook_lengths",

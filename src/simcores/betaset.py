@@ -6,7 +6,9 @@ exactly the order ideals, and the partition size can be read off a set
 without decoding it.
 """
 
+from collections import defaultdict
 from collections.abc import Iterable
+from itertools import accumulate
 from operator import sub
 
 from .partitions import check_partition
@@ -44,33 +46,47 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return _from_descending(_validated_descending(members))
 
 
-def core_partitions(a: int, b: int) -> list[tuple[int, ...]]:
-    """Every simultaneous (a, b)-core, in no particular order.
+def cores_by_size(a: int, b: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every simultaneous (a, b)-core, filed under its size, each class in
+    no particular order.
 
     Walks the height sequences of `abacus_runners` with its own stack, so
-    no number of runners can exhaust the recursion limit, and turns each
-    ideal's members into a partition.  The cores of (a, b) are those of
-    (b, a), so the walk runs on the abacus of the smaller generator, which
-    has fewer runners to copy member tuples across.
+    no number of runners can exhaust the recursion limit.  Each node carries
+    the sum of its members, from per-runner prefix sums, so a leaf's size is
+    sum - C(count, 2) as in `size_via_ideal`, read before its members are
+    decoded; the decoded parts are an independent check of it.  The cores
+    of (a, b) are those of (b, a), so the walk runs on the abacus of the
+    smaller generator, which has fewer runners to copy member tuples across.
     """
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
     a, b = min(a, b), max(a, b)
-    steps = []   # per runner: (t_k, t_k - t_{k-1}, its bottom gaps)
+    steps = []   # per runner: (t_k, t_k - t_{k-1}, its bottom gaps, their prefix sums)
     prev = 0
     for t, r in abacus_runners(a, b):
-        steps.append((t, t - prev, tuple(range(r, r + a * t, a))))
+        gaps = tuple(range(r, r + a * t, a))
+        steps.append((t, t - prev, gaps, tuple(accumulate(gaps, initial=0))))
         prev = t
-    out = []
-    stack = [(0, 0, ())]   # (runner index, previous height, members so far)
+    if not steps:   # a == 1: no gaps, only the empty core
+        return {0: [()]}
+    classes = defaultdict(list)
+    last = len(steps) - 1
+    stack = [(0, 0, (), 0)]   # (runner index, previous height, members so far, their sum)
     while stack:
-        k, h, members = stack.pop()
-        if k == len(steps):
-            out.append(_from_descending(sorted(members, reverse=True)))
+        k, h, members, total = stack.pop()
+        t, d, gaps, sums = steps[k]
+        if k < last:
+            for top in range(min(t, h + d) + 1):
+                stack.append((k + 1, top, members + gaps[:top], total + sums[top]))
             continue
-        t, d, gaps = steps[k]
-        for top in range(min(t, h + d) + 1):
-            stack.append((k + 1, top, members + gaps[:top]))
-    return out
+        # the last runner's children are leaves, decoded here and never
+        # stacked; tallest first, so the block each frees can hold the next
+        # (at (2, 4999), shortest first peaked 8 MB higher)
+        for top in range(min(t, h + d), -1, -1):
+            hooks = sorted(members + gaps[:top], reverse=True)
+            r = len(hooks)
+            classes[total + sums[top] - r * (r - 1) // 2].append(
+                _from_descending(hooks))
+    return dict(classes)
 
 
 def size_via_ideal(members: Iterable[int]) -> int:

@@ -15,6 +15,7 @@ loads only those, and `--help` none.
 import argparse
 import os
 import sys
+from itertools import compress
 from math import gcd
 
 MAX_LISTED_PARTS = 6_250_000   # (11, 13) lists 6,240,360
@@ -71,8 +72,8 @@ def _ratio(num, den):
 
 
 def _cmd_cores(args):
-    from .betaset import core_partitions
-    from .partitions import canonical_order
+    from .betaset import cores_by_size
+    from .partitions import canonical_classes
     from .posets import gap_count
     from .stats import average_size_check, core_count
 
@@ -86,37 +87,57 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    cores = canonical_order(core_partitions(args.a, args.b))
+    classes = canonical_classes(cores_by_size(args.a, args.b))
+    # the decoded parts check the size the walk filed each core under, and
     # the listing and the lattice-path transfer are independent routes
-    listed = len(cores), sum(map(sum, cores))
+    for size, cls in classes:
+        wrong = next(compress(cls, map(size.__ne__, map(sum, cls))), None)
+        if wrong is not None:
+            raise ArithmeticError(f"a core listed under size {size} has parts "
+                                  f"adding up to {sum(wrong)}")
+    listed = (sum(len(cls) for _, cls in classes),
+              sum(size * len(cls) for size, cls in classes))
     if listed != (check.count, check.total):
         raise ArithmeticError(
             f"the listing has {listed[0]} cores of total size {listed[1]}, the "
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
+    # each class is written with one join, its parts' digits read from a
+    # table: the Frobenius number ab - a - b bounds every hook, so every part
+    digits = list(map(str, range(args.a * args.b - args.a - args.b + 1))).__getitem__
+    write = sys.stdout.write
     if args.format == "json":
         import json
-        # json.dumps(payload, indent=2), written core by core
+        # json.dumps(payload, indent=2), written class by class: a core is
+        # "[\n      p,\n      q\n    ]", and the empty one, of size 0, "[]"
         head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
-        blocks = ("[\n      " + ",\n      ".join(map(str, p)) + "\n    ]"
-                  if p else "[]" for p in cores)
-        sys.stdout.write(head[:-2] + ',\n  "cores": [\n    ' + next(blocks))
-        sys.stdout.writelines(",\n    " + block for block in blocks)
-        sys.stdout.write("\n  ]\n}\n")
+        write(head[:-2] + ',\n  "cores": [\n    ')
+        for i, (size, cls) in enumerate(classes):
+            if i:
+                write(",\n    ")
+            if size:
+                write("[\n      " + "\n    ],\n    [\n      ".join(
+                    ",\n      ".join(map(digits, p)) for p in cls) + "\n    ]")
+            else:
+                write(",\n    ".join(["[]"] * len(cls)))
+        write("\n  ]\n}\n")
     elif args.format == "csv":
         # CSV by hand, here and in `_report`: no field holds a comma, a
         # quote or a newline, so none needs quoting
-        sys.stdout.write("parts,size\n")
-        sys.stdout.writelines(f"{' '.join(map(str, p))},{sum(p)}\n"
-                              for p in cores)
+        write("parts,size\n")
+        for size, cls in classes:
+            end = f",{size}\n"
+            write(end.join(" ".join(map(digits, p)) for p in cls) + end)
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
         print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        sys.stdout.writelines(f"  {list(p)}\n" for p in cores)
+        for _, cls in classes:
+            write("  [" + "]\n  [".join(", ".join(map(digits, p)) for p in cls)
+                  + "]\n")
     return 0 if check.matches else 1
 
 

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from simcores.betaset import (NotBetaSetError, core_partitions,
+from simcores.betaset import (NotBetaSetError, cores_by_size,
                               ideal_to_partition, partition_to_ideal,
                               size_via_ideal)
 from simcores.partitions import (canonical_order, enumerate_cores_bounded,
@@ -85,22 +85,30 @@ def test_bijection_image_is_every_core():
         assert image == enumerate_cores_bounded({a, b}, bound), (a, b)
 
 
-def test_core_partitions_match_ideal_enumeration():
+def test_cores_by_size_match_ideal_enumeration():
     # every coprime pair with at most 40 gaps, in both orders, 1 included
     pairs = [(a, b) for a in range(1, 82) for b in range(1, 82)
              if gcd(a, b) == 1 and (a - 1) * (b - 1) <= 80]
     assert len(pairs) == 371 and (2, 81) in pairs and (81, 1) in pairs
     for a, b in pairs:
-        walked = canonical_order(core_partitions(a, b))
+        classes = cores_by_size(a, b)
+        for size, cls in classes.items():
+            assert cls and all(sum(p) == size for p in cls), (a, b, size)
+        # the walk leaves each class in no particular order
+        walked = [p for size in sorted(classes)
+                  for p in sorted(classes[size], reverse=True)]
         enumerated = canonical_order([ideal_to_partition(m)
                                       for m in order_ideals(gap_poset(a, b))])
         assert walked == enumerated, (a, b)
         assert len(walked) == core_count(a, b), (a, b)
-        assert walked == canonical_order(core_partitions(b, a)), (a, b)
+        swapped = cores_by_size(b, a)
+        assert swapped.keys() == classes.keys(), (a, b)
+        assert all(sorted(swapped[size]) == sorted(cls)
+                   for size, cls in classes.items()), (a, b)
 
 
-def test_core_partitions_reject_bad_pairs():
+def test_cores_by_size_reject_bad_pairs():
     with pytest.raises(NonCoprimeError):
-        core_partitions(4, 6)
+        cores_by_size(4, 6)
     with pytest.raises(ValueError, match="positive"):
-        core_partitions(0, 5)
+        cores_by_size(0, 5)

@@ -177,6 +177,24 @@ def test_cores_output_is_pinned(capsys, a, b, fmt):
     assert (len(data), hashlib.sha256(data).hexdigest()) == CORES_GOLDEN[(a, b, fmt)]
 
 
+# a = 1 leaves no gaps: the listing is the empty core alone, the one class of
+# size 0 (bytes recorded from the listing before it was filed by size)
+A_ONE_LISTING = {
+    "plain": "(1, 5)-cores: 1\ntotal size: 0\naverage size: 0\n"
+             "matches closed form: yes\n  []\n",
+    "json": '{\n  "a": 1,\n  "b": 5,\n  "count": 1,\n  "total_size": 0,\n'
+            '  "average": "0",\n  "matches": true,\n  "cores": [\n    []\n'
+            '  ]\n}\n',
+    "csv": "parts,size\n,0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cores_of_a_one_list_the_empty_core(capsys, fmt):
+    assert run(capsys, "cores", "--a", "1", "--b", "5", "--format", fmt) \
+        == (0, A_ONE_LISTING[fmt], "")
+
+
 # SHA-256 and length of the `series-verify` stdout, recorded while the count
 # series was still the fixed point of x*F**(m+1) - F + 1 = 0, before it was
 # read off the Fuss-Catalan numbers.  m = 1 has no truncations, m = 2 adds
@@ -249,7 +267,7 @@ def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
             raise AssertionError("cores worked before its guards")
         for target in ("simcores.stats.core_count",
                        "simcores.stats.average_size_check",
-                       "simcores.betaset.core_partitions"):
+                       "simcores.betaset.cores_by_size"):
             monkeypatch.setattr(target, no_work)
     gap_poset.cache_clear()   # so an earlier case cannot have built it
     misses = gap_poset.cache_info().misses
@@ -437,13 +455,39 @@ def test_cores_larger_generator_first(capsys, fmt):
 
 def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
     # the listing and the lattice-path totals check each other before output
-    real = betaset.core_partitions
-    monkeypatch.setattr(betaset, "core_partitions", lambda a, b: real(a, b)[1:])
+    real = betaset.cores_by_size
+
+    def one_dropped(a, b):
+        classes = real(a, b)
+        max(classes.values(), key=len).pop()
+        return classes
+
+    monkeypatch.setattr(betaset, "cores_by_size", one_dropped)
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
                              "--format", fmt)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "11 cores" in err and "12" in err
+        assert "Traceback" not in err
+
+
+def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
+    # two cores of different sizes swap classes: the count and the total
+    # still match the transfer, so only the decoded parts can see it
+    real = betaset.cores_by_size
+
+    def swapped(a, b):
+        classes = real(a, b)
+        small, large = (classes[size] for size in sorted(classes)[1:3])
+        small[0], large[0] = large[0], small[0]
+        return classes
+
+    monkeypatch.setattr(betaset, "cores_by_size", swapped)
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a core listed under size ")
         assert "Traceback" not in err
 
 
