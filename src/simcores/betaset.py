@@ -8,8 +8,6 @@ without decoding it.
 
 from collections import defaultdict
 from collections.abc import Iterable
-from itertools import accumulate
-from operator import sub
 
 from .partitions import check_partition
 from .posets import abacus_runners, gap_count
@@ -36,56 +34,77 @@ def _validated_descending(members: Iterable[int]) -> list[int]:
     return hooks
 
 
-def _from_descending(hooks: list[int]) -> tuple[int, ...]:
-    # r hooks give parts[i] = hooks[i] - (r - 1 - i), weakly down to hooks[-1] >= 1
-    return tuple(map(sub, hooks, range(len(hooks) - 1, -1, -1)))
-
-
 def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     """The partition whose first-column hooks are exactly `members`."""
-    return _from_descending(_validated_descending(members))
+    hooks = _validated_descending(members)
+    # r hooks give parts[i] = hooks[i] - (r - 1 - i), weakly down to hooks[-1] >= 1
+    r = len(hooks)
+    return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
 def cores_by_size(a: int, b: int) -> dict[int, list[tuple[int, ...]]]:
     """Every simultaneous (a, b)-core, filed under its size, each class in
     no particular order.
 
-    Walks the height sequences of `abacus_runners` with its own stack, so
-    no number of runners can exhaust the recursion limit.  Each node carries
-    the sum of its members, from per-runner prefix sums, so a leaf's size is
-    sum - C(count, 2) as in `size_via_ideal`, read before its members are
-    decoded; the decoded parts are an independent check of it.  The cores
-    of (a, b) are those of (b, a), so the walk runs on the abacus of the
-    smaller generator, which has fewer runners to copy member tuples across.
+    A core's hook set is an order ideal of the gaps, and ascending order is
+    a linear extension of the gap poset.  So the walk meets the gaps in
+    ascending order, and at each gap of a runner of `abacus_runners` that is
+    still open it either closes the runner (that gap and every gap above it
+    are not members) or keeps the gap.  Closing is always allowed.  Closing
+    the gap g refuses g + b, the one gap of the next runner that the height
+    rule then forbids; it lies ahead, so every path ends in a core.
+
+    Members arrive in ascending order, so a kept gap's part is the gap less
+    the members before it, fixed when the gap is kept and prepended to the
+    parts so far: each core comes out decoded and in descending order, with
+    no sort, and each part's int is shared by every core built on it.  A
+    core is filed under the sum of its kept gaps less C(count, 2), as in
+    `size_via_ideal`, never under the sum of its parts, so the parts stay an
+    independent check of that size.  The walk keeps its own stack, so no
+    depth can exhaust the recursion limit.  The cores of (a, b) are those of
+    (b, a), so it runs on the abacus of the smaller generator, which has
+    fewer runners to track.
     """
     gap_count(a, b)   # raises on a non-positive or non-coprime pair
     a, b = min(a, b), max(a, b)
-    steps = []   # per runner: (t_k, t_k - t_{k-1}, its bottom gaps, their prefix sums)
-    prev = 0
-    for t, r in abacus_runners(a, b):
-        gaps = tuple(range(r, r + a * t, a))
-        steps.append((t, t - prev, gaps, tuple(accumulate(gaps, initial=0))))
-        prev = t
-    if not steps:   # a == 1: no gaps, only the empty core
-        return {0: [()]}
+    runner = {}   # each gap's runner, as one bit of a closed-runner mask
+    for k, (t, r) in enumerate(abacus_runners(a, b)):
+        for gap in range(r, r + a * t, a):
+            runner[gap] = 1 << k
+    gaps = sorted(runner)
+    n = len(gaps)
+    bits = [runner[gap] for gap in gaps]
+    position = {gap: p for p, gap in enumerate(gaps)}
+    # closing the gap at p refuses the gap b above it, as a bit of a mask
+    # over positions, when that is a gap
+    refuses = [1 << position[gap + b] if gap + b in position else 0 for gap in gaps]
+    following = {}   # (position, closed runners) -> the next gap of an open runner
     classes = defaultdict(list)
-    last = len(steps) - 1
-    stack = [(0, 0, (), 0)]   # (runner index, previous height, members so far, their sum)
+    stack = [(0, 0, 0, 0, 0, ())]   # (position, closed, refused, count, member sum, parts)
     while stack:
-        k, h, members, total = stack.pop()
-        t, d, gaps, sums = steps[k]
-        if k < last:
-            for top in range(min(t, h + d) + 1):
-                stack.append((k + 1, top, members + gaps[:top], total + sums[top]))
-            continue
-        # the last runner's children are leaves, decoded here and never
-        # stacked; tallest first, so the block each frees can hold the next
-        # (at (2, 4999), shortest first peaked 8 MB higher)
-        for top in range(min(t, h + d), -1, -1):
-            hooks = sorted(members + gaps[:top], reverse=True)
-            r = len(hooks)
-            classes[total + sums[top] - r * (r - 1) // 2].append(
-                _from_descending(hooks))
+        pos, closed, refused, count, total, parts = stack.pop()
+        while True:
+            key = pos, closed
+            pos = following.get(key)
+            if pos is None:
+                pos = key[0]
+                while pos < n and closed & bits[pos]:
+                    pos += 1
+                following[key] = pos
+            if pos == n:
+                classes[total - count * (count - 1) // 2].append(parts)
+                break
+            if refused >> pos & 1:
+                closed |= bits[pos]
+                refused |= refuses[pos]
+            else:
+                stack.append((pos + 1, closed | bits[pos], refused | refuses[pos],
+                              count, total, parts))
+                gap = gaps[pos]
+                parts = (gap - count,) + parts
+                count += 1
+                total += gap
+            pos += 1
     return dict(classes)
 
 

@@ -9,7 +9,7 @@ from simcores.betaset import (NotBetaSetError, cores_by_size,
 from simcores.partitions import (canonical_order, enumerate_cores_bounded,
                                  hook_lengths, is_core)
 from simcores.posets import NonCoprimeError, gap_poset, order_ideals
-from simcores.stats import core_count
+from simcores.stats import average_size_check, core_count
 
 
 def test_partition_to_ideal_worked_example():
@@ -105,6 +105,31 @@ def test_cores_by_size_match_ideal_enumeration():
         assert swapped.keys() == classes.keys(), (a, b)
         assert all(sorted(swapped[size]) == sorted(cls)
                    for size, cls in classes.items()), (a, b)
+
+
+def test_cores_by_size_deep_single_runner():
+    # the 2-abacus of (2, 4999) is one runner of 2,499 gaps, so the walk
+    # runs 2,499 deep; its cores are the staircases k, k - 1, ..., 1
+    staircases = {k * (k + 1) // 2: [tuple(range(k, 0, -1))] for k in range(2500)}
+    assert cores_by_size(2, 4999) == staircases
+    assert cores_by_size(4999, 2) == staircases
+
+
+def test_cores_by_size_agree_with_transfer_beyond_enumeration():
+    # past the enumeration oracle: every coprime pair with 41-60 gaps and at
+    # most 15,000 cores, against the lattice-path transfer
+    pairs = [(a, b) for a in range(2, 122) for b in range(a + 1, 122)
+             if gcd(a, b) == 1 and 41 <= (a - 1) * (b - 1) // 2 <= 60
+             and core_count(a, b) <= 15_000]
+    assert len(pairs) == 53 and (2, 121) in pairs and (8, 13) in pairs
+    for a, b in pairs:
+        classes = cores_by_size(a, b)
+        for size, cls in classes.items():
+            assert cls and all(sum(p) == size for p in cls), (a, b, size)
+        check = average_size_check(a, b)
+        assert sum(map(len, classes.values())) == check.count, (a, b)
+        assert sum(size * len(cls) for size, cls in classes.items()) \
+            == check.total, (a, b)
 
 
 def test_cores_by_size_reject_bad_pairs():

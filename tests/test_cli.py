@@ -509,6 +509,24 @@ def source_env():
     return env
 
 
+def test_cores_worst_admitted_job_stays_under_64_mb():
+    # (2, 4999) is the largest listing both guards admit: 35 MB of JSON.  A
+    # child's max-RSS starts at its spawner's RSS, so a bare interpreter
+    # spawns it, not this process.
+    spawner = ("import os, sys\n"
+               "out = os.open(os.devnull, os.O_WRONLY)\n"
+               "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], "
+               "os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)])\n"
+               "_, status, usage = os.wait4(pid, 0)\n"
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-S", "-c", spawner, "-m", "simcores.cli",
+                           "cores", "--a", "2", "--b", "4999", "--format", "json"],
+                          capture_output=True, text=True, env=source_env(), check=True)
+    code, max_rss_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert max_rss_kib < 64 * 1024
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_closed_stdout_exits_2_without_traceback(fmt):
     # 150-630 KB of output, far more than a pipe buffers
