@@ -11,7 +11,7 @@ remainder.  There is no floating point and no tolerance anywhere: an
 identity passes only if its residual is identically zero.
 """
 
-from collections import ChainMap, namedtuple
+from collections import namedtuple
 from math import comb
 from operator import index
 
@@ -214,11 +214,12 @@ class SeriesBundle(namedtuple("SeriesBundle",
     """Generating functions of the four ideal statistics at one slope m.
 
     `powers` holds F**0 ... F**(2m+2), built once by successive products.
-    `count` (hiding `tuple.count`) maps truncation j = 0 .. m to its count
-    series: `powers[1]`, the count series F, at j = 0, and
-    `powers[m - j + 1]` at j >= 1.  `member`, `layer` and `size` map each
-    j < m to its series.  Every series is over the integers.  `denom` is
-    1 - (m+1) x F**m, the divisor of the size series.
+    `count` (hiding `tuple.count`), `member`, `layer` and `size` map
+    truncation j = 0 .. m to its series, index m being the plain poset read
+    as truncation m (`as_truncation_m` of index 0).  The counts are
+    `powers[1]`, the count series F, at j = 0 and j = m, and
+    `powers[m - j + 1]` at j >= 1.  Every series is over the integers.
+    `denom` is 1 - (m+1) x F**m, the divisor of the size series.
     """
 
     __slots__ = ()
@@ -227,14 +228,15 @@ class SeriesBundle(namedtuple("SeriesBundle",
 def stat_series(m: int, order: int) -> SeriesBundle:
     """Build every statistic series from the count series F.
 
-    The member and layer series, and the plain poset's size series, come
-    from their closed forms.  The size series of truncation j >= 1 is the
-    `recursion_rhs` of its step, chained down from the plain poset read as
-    truncation m (`as_truncation_m`), so the size join relation is the
-    ledger's one derived check of the chain.  At j = 0 the terms with a
-    factor j vanish: the join sees a fault in one only through size[1].
-    `verify_stat_recursions` and `cross_check` hold every step against the
-    lattice-path grid directly.
+    The plain poset's member, layer and size series come from their closed
+    forms, and index m is that poset read as truncation m
+    (`as_truncation_m`).  Every truncation 1 <= j < m of each statistic is
+    the `recursion_rhs` of its step, chained down from index m.  The ledger
+    holds the chain against the per-j closed forms of the member and layer
+    series and against the join relations.  At j = 0 the terms with a
+    factor j vanish: the size join sees a fault in one only through
+    size[1].  `verify_stat_recursions` and `cross_check` hold every step
+    against the lattice-path grid directly.
     """
     if order < 3:
         raise ValueError("order must be >= 3")
@@ -248,16 +250,6 @@ def stat_series(m: int, order: int) -> SeriesBundle:
     t0 = comb(m + 1, 2) * (Fp * Fp).shift(2) / F
     r0 = (comb(m + 1, 2) * (Fp * t0).shift(1)
           + comb(m + 1, 3) * (Fp * Fp).shift(2)) / F
-    member, layer = {0: t0}, {0: r0}
-    for j in range(1, m):
-        p = m - j
-        member[j] = (p + 1) * P[p] * t0 + comb(p + 1, 2) * (Fp * P[p]).shift(1)
-        # (p + 1) + (m + j) = 2m + 1 is odd, so one of the two is even;
-        # m + 2j - 1 = p - 1 + 3j, and (p - 1) p (p + 1) has a factor 3
-        layer[j] = ((p + 1) * P[p] * r0
-                    + _whole((p + 1) * (m + j), 2) * P[p] * t0
-                    + _whole((m + 2 * j - 1) * comb(p + 1, 2), 3) * (Fp * P[p]).shift(1))
-
     denom = P[0] - (m + 1) * P[m].shift(1)
     g0 = ((m + 1) * (P[m] * r0).shift(1)
           + (m * m + m) * (Fp * P[m - 1] * r0).shift(2)
@@ -266,14 +258,13 @@ def stat_series(m: int, order: int) -> SeriesBundle:
           + comb(m + 2, 3) * (Fp * P[m]).shift(2)
           + comb(m + 2, 4) * (Fp * Fp * P[m - 1]).shift(3)
           - comb(m + 1, 2) * (P[m - 1] * t0 * t0).shift(1)) / denom
-    size = {0: g0}
-    if m >= 2:
-        _, *top = as_truncation_m(m, F, t0, r0, g0)
-        T, R, G = (ChainMap(s, {m: x})
-                   for s, x in zip((member, layer, size), top))
-        for j in range(m - 1, 0, -1):
-            size[j] = recursion_rhs("size", j, A, T, R, G)
-    return SeriesBundle(m, tuple(P), A, member, layer, size, denom)
+    # index 0, then m - 1 slots the chain fills, then index m
+    T, R, G = ([s0] * m + [top] for s0, top in
+               zip((t0, r0, g0), as_truncation_m(m, F, t0, r0, g0)[1:]))
+    for j in range(m - 1, 0, -1):
+        for stat, S in (("member", T), ("layer", R), ("size", G)):
+            S[j] = recursion_rhs(stat, j, A, T, R, G)
+    return SeriesBundle(m, tuple(P), A, tuple(T), tuple(R), tuple(G), denom)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "identity m effective_order "
@@ -294,10 +285,12 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     Each derived entry subtracts the two sides of one identity as truncated
     series; it passes only when the residual is identically zero through its
     effective order.  Definitional entries name the formulas `stat_series`
-    builds its series from.  A derived join or step relation is
-    `S[j] - recursion_rhs(...)`, the recursion `verify_stat_recursions`
-    checks on the grid; the size join reads the terms with a factor j only
-    through size[1] (see `stat_series`).  Identities whose index families
+    builds its series from: the step and top relations among them.  A join
+    relation is `S[0] - recursion_rhs(stat, 0, ...)`, the recursion
+    `verify_stat_recursions` checks on the grid, and `member-closed-form[j]`
+    and `layer-closed-form[j]` hold the chained series against their closed
+    forms; the size join reads the terms with a factor j only through
+    size[1] (see `stat_series`).  Identities whose index families
     are empty at this m are omitted rather than trivialized, with one
     exception: at m = 1 the weighted sums `member-weighted-sum`,
     `member-derivative-weighted-sum` and `layer-weighted-sum` compare an
@@ -352,8 +345,15 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     built("layer-bottom-closed-form", R[0])
     built("size-bottom-closed-form", G[0])
     for j in range(1, m):
-        built(f"member-closed-form[j={j}]", T[j])
-        built(f"layer-closed-form[j={j}]", R[j])
+        p = m - j
+        add(f"member-closed-form[j={j}]",
+            T[j] - ((p + 1) * P[p] * T[0] + comb(p + 1, 2) * (Fp * P[p]).shift(1)))
+        # (p + 1) + (m + j) = 2m + 1 is odd, so one of the two is even;
+        # m + 2j - 1 = p - 1 + 3j, and (p - 1) p (p + 1) has a factor 3
+        add(f"layer-closed-form[j={j}]",
+            R[j] - ((p + 1) * P[p] * R[0]
+                    + _whole((p + 1) * (m + j), 2) * P[p] * T[0]
+                    + _whole((m + 2 * j - 1) * comb(p + 1, 2), 3) * (Fp * P[p]).shift(1)))
 
     tsum = tdsum = rsum = constant(0, order)
     for j in range(1, m):
@@ -386,11 +386,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
                 S[0] - recursion_rhs(stat, 0, b.count, T, R, G))
             built(f"{stat}-top-relation", S[m - 1])
             for j in range(1, m - 1):
-                name = f"{stat}-step-relation[j={j}]"
-                if stat == "size":   # `stat_series` builds G[j] by this relation
-                    built(name, G[j])
-                else:
-                    add(name, S[j] - recursion_rhs(stat, j, b.count, T, R, G))
+                built(f"{stat}-step-relation[j={j}]", S[j])
 
     add("average-size-identity",
         m * (m + 1) * Fppp.shift(3) + m * (2 * m + 4) * Fpp.shift(2) - 24 * G[0])

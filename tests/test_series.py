@@ -9,7 +9,7 @@ from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
 import simcores.series
-from simcores.stats import average_size_check
+from simcores.stats import _theta, as_truncation_m, average_size_check
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -176,7 +176,7 @@ def test_stat_series_slope_one_degenerates():
     fp = f.derivative()
     assert b.powers[:2] == (constant(1, 8), f)
     assert b.member[0] == (fp * fp).shift(2) / f
-    assert list(b.member) == [0] and list(b.layer) == [0] and list(b.size) == [0]
+    assert [len(b.count), len(b.member), len(b.layer), len(b.size)] == [2] * 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 6, 40])
@@ -243,9 +243,16 @@ def test_stat_series_coefficients_are_ints(m):
     # counting series stay in plain ints: every divisor has constant term 1
     # and every rational scalar of the formulas is whole
     b = stat_series(m, 24)
-    built = [*b.powers, *b.member.values(),
-             *b.layer.values(), *b.size.values()]
+    built = [*b.powers, *b.member, *b.layer, *b.size]
     assert all(type(c) is int for f in built for c in f.coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stat_series_maps_every_truncation_through_m(m):
+    b = stat_series(m, 12)
+    maps = (b.count, b.member, b.layer, b.size)
+    assert [len(S) for S in maps] == [m + 1] * 4
+    assert tuple(S[m] for S in maps) == as_truncation_m(m, *(S[0] for S in maps))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -308,8 +315,8 @@ def test_a_fault_in_size_one_fails_the_size_join_and_cross_check(monkeypatch):
 
     def faulty(m, order):
         b = real(m, order)
-        b.size[1] = b.size[1] + series([0, 0, 1], order)
-        return b
+        g1 = b.size[1] + series([0, 0, 1], order)
+        return b._replace(size=(b.size[0], g1, *b.size[2:]))
 
     monkeypatch.setattr(simcores.series, "stat_series", faulty)
     for m in (2, 3, 5):
@@ -321,6 +328,22 @@ def test_a_fault_in_size_one_fails_the_size_join_and_cross_check(monkeypatch):
                 if not r.passed] == [(1, 2, "size")]
 
 
+def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
+    # stat_series builds every truncation j >= 1 by recursion_rhs, so a fault
+    # in a term the join does not read (it carries a factor j) still shows
+    real = simcores.series.recursion_rhs
+
+    def faulty(stat, j, A, T, R, G):
+        rhs = real(stat, j, A, T, R, G)
+        return rhs + j * _theta(A[j + 1]) * A[0] if stat == "layer" and j else rhs
+
+    monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
+    failed = {c.identity for c in check_identities(2, 12) if not c.passed}
+    assert failed == {"layer-closed-form[j=1]", "layer-join-relation",
+                      "layer-weighted-sum", "size-join-relation",
+                      "explicit-layer-join", "explicit-layer-top"}
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_identity_ledger_kinds(m):
     # the formulas stat_series builds from are tagged, everything else is a
@@ -330,9 +353,9 @@ def test_identity_ledger_kinds(m):
     definitional = ({"closed-form-count", "member-bottom-closed-form",
                      "layer-bottom-closed-form", "size-bottom-closed-form"}
                     | {f"trimmed-count-power[j={j}]" for j in steps}
-                    | {f"member-closed-form[j={j}]" for j in steps}
-                    | {f"layer-closed-form[j={j}]" for j in steps}
-                    | {f"size-step-relation[j={j}]" for j in range(1, m - 1)})
+                    | {f"{stat}-step-relation[j={j}]"
+                       for stat in ("member", "layer", "size")
+                       for j in range(1, m - 1)})
     if m >= 2:
         definitional |= {"member-top-relation", "layer-top-relation",
                          "size-top-relation"}
