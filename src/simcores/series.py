@@ -219,51 +219,39 @@ class SeriesBundle(namedtuple("SeriesBundle",
     as truncation m (`as_truncation_m` of index 0).  The counts are
     `powers[1]`, the count series F, at j = 0 and j = m, and
     `powers[m - j + 1]` at j >= 1.  Every series is over the integers.
-    `denom` is 1 - (m+1) x F**m, the divisor of the size series.
+    `denom` is 1 - (m+1) x F**m, the divisor every bottom series is solved by.
     """
 
     __slots__ = ()
 
 
 def stat_series(m: int, order: int) -> SeriesBundle:
-    """Build every statistic series from the count series F.
+    """Build every statistic series from the count series F and the
+    recursions alone.
 
-    The plain poset's member, layer and size series come from their closed
-    forms, and index m is that poset read as truncation m
-    (`as_truncation_m`).  Every truncation 1 <= j < m of each statistic is
-    the `recursion_rhs` of its step, chained down from index m.  The ledger
-    holds the chain against the per-j closed forms of the member and layer
-    series and against the join relations.  At j = 0 the terms with a
-    factor j vanish: the size join sees a fault in one only through
-    size[1].  `verify_stat_recursions` and `cross_check` hold every step
-    against the lattice-path grid directly.
+    Index m of a statistic S is S[0] read as truncation m
+    (`as_truncation_m`), and every truncation 1 <= j < m is the
+    `recursion_rhs` of its step, chained down from index m.  That chain is
+    affine in S[0], and the join meets S[0] as (1 - `denom`) * S[0].  So for
+    member, then layer, then size: chain with S[0] = 0, solve S[0] as that
+    join over `denom`, and chain again.  The ledger holds the solved series
+    against the paper's closed forms, and `verify_stat_recursions` and
+    `cross_check` hold them against the lattice-path grid.
     """
-    if order < 3:
-        raise ValueError("order must be >= 3")
     F = fuss_catalan_series(m, order)
-    Fp = F.derivative()
     P = [constant(1, order), F]
     for _ in range(2, 2 * m + 3):
         P.append(P[-1] * F)
     A = (F, *P[m:0:-1])
-
-    t0 = comb(m + 1, 2) * (Fp * Fp).shift(2) / F
-    r0 = (comb(m + 1, 2) * (Fp * t0).shift(1)
-          + comb(m + 1, 3) * (Fp * Fp).shift(2)) / F
     denom = P[0] - (m + 1) * P[m].shift(1)
-    g0 = ((m + 1) * (P[m] * r0).shift(1)
-          + (m * m + m) * (Fp * P[m - 1] * r0).shift(2)
-          + comb(m + 2, 2) * (P[m] * t0).shift(1)
-          + comb(m + 1, 2) * (Fp * P[m - 1] * t0).shift(2)
-          + comb(m + 2, 3) * (Fp * P[m]).shift(2)
-          + comb(m + 2, 4) * (Fp * Fp * P[m - 1]).shift(3)
-          - comb(m + 1, 2) * (P[m - 1] * t0 * t0).shift(1)) / denom
-    # index 0, then m - 1 slots the chain fills, then index m
-    T, R, G = ([s0] * m + [top] for s0, top in
-               zip((t0, r0, g0), as_truncation_m(m, F, t0, r0, g0)[1:]))
-    for j in range(m - 1, 0, -1):
-        for stat, S in (("member", T), ("layer", R), ("size", G)):
-            S[j] = recursion_rhs(stat, j, A, T, R, G)
+    T, R, G = ([constant(0, order)] * (m + 1) for _ in range(3))
+    for k, (stat, S) in enumerate((("member", T), ("layer", R), ("size", G)), 1):
+        for solve in (True, False):
+            S[m] = as_truncation_m(m, F, T[0], R[0], G[0])[k]
+            for j in range(m - 1, 0, -1):
+                S[j] = recursion_rhs(stat, j, A, T, R, G)
+            if solve:
+                S[0] = recursion_rhs(stat, 0, A, T, R, G) / denom
     return SeriesBundle(m, tuple(P), A, tuple(T), tuple(R), tuple(G), denom)
 
 
@@ -285,12 +273,13 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     Each derived entry subtracts the two sides of one identity as truncated
     series; it passes only when the residual is identically zero through its
     effective order.  Definitional entries name the formulas `stat_series`
-    builds its series from: the step and top relations among them.  A join
-    relation is `S[0] - recursion_rhs(stat, 0, ...)`, the recursion
-    `verify_stat_recursions` checks on the grid, and `member-closed-form[j]`
-    and `layer-closed-form[j]` hold the chained series against their closed
-    forms; the size join reads the terms with a factor j only through
-    size[1] (see `stat_series`).  Identities whose index families
+    builds its series from: the closed-form count, the trimmed-count powers
+    and every join, top and step relation.  The `*-bottom-closed-form`
+    entries hold the series the recursion solves for against the paper's
+    closed forms, `average-size-identity` holds the size series against
+    Armstrong's average, and `member-closed-form[j]` and
+    `layer-closed-form[j]` hold the chained series at each j against their
+    closed forms.  Identities whose index families
     are empty at this m are omitted rather than trivialized, with one
     exception: at m = 1 the weighted sums `member-weighted-sum`,
     `member-derivative-weighted-sum` and `layer-weighted-sum` compare an
@@ -341,9 +330,20 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
             - 2 * (m + 1) * (Fp * P[2 * m + 1]).shift(1)
             + 2 * (m + 1) * P[2 * m + 2]))
 
-    built("member-bottom-closed-form", T[0])
-    built("layer-bottom-closed-form", R[0])
-    built("size-bottom-closed-form", G[0])
+    # the paper's closed forms of the plain poset's series
+    t0 = comb(m + 1, 2) * (Fp * Fp).shift(2) / F
+    r0 = (comb(m + 1, 2) * (Fp * t0).shift(1)
+          + comb(m + 1, 3) * (Fp * Fp).shift(2)) / F
+    g0 = ((m + 1) * (P[m] * r0).shift(1)
+          + (m * m + m) * (Fp * P[m - 1] * r0).shift(2)
+          + comb(m + 2, 2) * (P[m] * t0).shift(1)
+          + comb(m + 1, 2) * (Fp * P[m - 1] * t0).shift(2)
+          + comb(m + 2, 3) * (Fp * P[m]).shift(2)
+          + comb(m + 2, 4) * (Fp * Fp * P[m - 1]).shift(3)
+          - comb(m + 1, 2) * (P[m - 1] * t0 * t0).shift(1)) / denom
+    add("member-bottom-closed-form", T[0] - t0)
+    add("layer-bottom-closed-form", R[0] - r0)
+    add("size-bottom-closed-form", G[0] - g0)
     for j in range(1, m):
         p = m - j
         add(f"member-closed-form[j={j}]",
@@ -382,8 +382,7 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
 
     if m >= 2:
         for stat, S in (("member", T), ("layer", R), ("size", G)):
-            add(f"{stat}-join-relation",
-                S[0] - recursion_rhs(stat, 0, b.count, T, R, G))
+            built(f"{stat}-join-relation", S[0])
             built(f"{stat}-top-relation", S[m - 1])
             for j in range(1, m - 1):
                 built(f"{stat}-step-relation[j={j}]", S[j])
@@ -455,7 +454,7 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     agreement here is the package's strongest oracle.
     """
     records = compute_stats(m, n_max)   # refuses a bad grid before any work
-    bundle = stat_series(m, n_max + 3)
+    bundle = stat_series(m, n_max)
     out = []
     for rec in records:
         j, n = rec.family.j, rec.family.n

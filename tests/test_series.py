@@ -199,9 +199,9 @@ def test_ledger_and_cross_check_read_powers_from_the_table(monkeypatch):
     for m in range(1, 7):
         assert all(c.passed for c in check_identities(m, 24))
         assert all(r.passed for r in cross_check(m, 4))
-        # the bundle's F has order 24 in the ledger and 4 + 3 in cross_check
+        # the bundle's F has order 24 in the ledger and 4 in cross_check
         assert fuss_catalan_series(m, 24) not in powered, m
-        assert fuss_catalan_series(m, 7) not in powered, m
+        assert fuss_catalan_series(m, 4) not in powered, m
 
 
 def test_ledger_at_the_largest_guarded_slope_and_order():
@@ -235,7 +235,7 @@ def test_ledger_scalars_are_whole_beyond_the_guard():
 
 def test_stat_series_rejects_tiny_order():
     with pytest.raises(ValueError):
-        stat_series(2, 2)
+        stat_series(2, -1)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -310,7 +310,19 @@ def test_every_relation_is_verified_to_the_full_order():
             assert all(c.effective_order == order for c in rows), (m, order)
 
 
-def test_a_fault_in_size_one_fails_the_size_join_and_cross_check(monkeypatch):
+def _add_x_squared(monkeypatch, stat0, j0):
+    """Add x**2 to recursion_rhs(stat0, j0, ...) as stat_series sees it."""
+    real = simcores.series.recursion_rhs
+
+    def faulty(stat, j, A, T, R, G):
+        rhs = real(stat, j, A, T, R, G)
+        return rhs + series([0, 0, 1], rhs.order) if (stat, j) == (stat0, j0) else rhs
+
+    monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
+
+
+def test_a_fault_in_size_one_fails_the_size_bottom_and_cross_check(monkeypatch):
+    # a faulty size[1] in a finished bundle is seen by cross_check alone
     real = simcores.series.stat_series
 
     def faulty(m, order):
@@ -318,19 +330,26 @@ def test_a_fault_in_size_one_fails_the_size_join_and_cross_check(monkeypatch):
         g1 = b.size[1] + series([0, 0, 1], order)
         return b._replace(size=(b.size[0], g1, *b.size[2:]))
 
-    monkeypatch.setattr(simcores.series, "stat_series", faulty)
+    with monkeypatch.context() as patch:
+        patch.setattr(simcores.series, "stat_series", faulty)
+        for m in (2, 3, 5):
+            assert [(r.j, r.n, r.statistic) for r in cross_check(m, 4)
+                    if not r.passed] == [(1, 2, "size")]
+    # stat_series solves size[0] from size[1], so the same fault in the
+    # size step at j = 1 moves the bottom series the ledger holds
+    _add_x_squared(monkeypatch, "size", 1)
     for m in (2, 3, 5):
         failed = {c.identity for c in check_identities(m, 12) if not c.passed}
-        # at m = 2 the explicit slope-two size series sees it too
-        expected = {"size-join-relation"} | ({"explicit-size-top"} if m == 2 else set())
-        assert failed == expected, m
-        assert [(r.j, r.n, r.statistic) for r in cross_check(m, 4)
-                if not r.passed] == [(1, 2, "size")]
+        # at m = 2 the explicit slope-two size series see it too
+        explicit = {"explicit-size-bottom", "explicit-size-top",
+                    "explicit-size-from-derivatives"} if m == 2 else set()
+        assert failed == {"size-bottom-closed-form", "average-size-identity"} | explicit, m
 
 
 def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
     # stat_series builds every truncation j >= 1 by recursion_rhs, so a fault
-    # in a term the join does not read (it carries a factor j) still shows
+    # in a term the join does not read (it carries a factor j) still shows,
+    # and it reaches the bottom series, which is solved from the chain
     real = simcores.series.recursion_rhs
 
     def faulty(stat, j, A, T, R, G):
@@ -339,30 +358,47 @@ def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
 
     monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
     failed = {c.identity for c in check_identities(2, 12) if not c.passed}
-    assert failed == {"layer-closed-form[j=1]", "layer-join-relation",
-                      "layer-weighted-sum", "size-join-relation",
-                      "explicit-layer-join", "explicit-layer-top"}
+    assert failed == {"layer-bottom-closed-form", "layer-closed-form[j=1]",
+                      "layer-weighted-sum", "size-bottom-closed-form",
+                      "average-size-identity", "explicit-layer-bottom",
+                      "explicit-layer-top", "explicit-size-bottom",
+                      "explicit-size-from-derivatives"}
+
+
+@pytest.mark.parametrize("stat", ["member", "layer", "size"])
+@pytest.mark.parametrize("j, m", [(0, 1), (0, 2), (0, 3), (0, 4),
+                                  (1, 2), (1, 3), (1, 4)])
+def test_a_fault_in_a_join_or_step_fails_the_bottom_and_average(monkeypatch, stat, j, m):
+    # every bottom series is solved from its join and chain, so Armstrong's
+    # average and the statistic's own closed form both see a fault in either
+    _add_x_squared(monkeypatch, stat, j)
+    failed = {c.identity for c in check_identities(m, 12) if not c.passed}
+    assert {"average-size-identity", f"{stat}-bottom-closed-form"} <= failed
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_identity_ledger_kinds(m):
     # the formulas stat_series builds from are tagged, everything else is a
-    # residual that was actually evaluated
+    # residual that was actually evaluated; the bottom closed forms are
+    # derived, and at m = 1 no relation row is reported
     checks = check_identities(m, 12)
     steps = range(1, m)
-    definitional = ({"closed-form-count", "member-bottom-closed-form",
-                     "layer-bottom-closed-form", "size-bottom-closed-form"}
+    definitional = ({"closed-form-count"}
                     | {f"trimmed-count-power[j={j}]" for j in steps}
                     | {f"{stat}-step-relation[j={j}]"
                        for stat in ("member", "layer", "size")
                        for j in range(1, m - 1)})
     if m >= 2:
-        definitional |= {"member-top-relation", "layer-top-relation",
-                         "size-top-relation"}
+        definitional |= {f"{stat}-{end}-relation"
+                         for stat in ("member", "layer", "size")
+                         for end in ("join", "top")}
     assert {c.identity for c in checks if c.kind == "definitional"} == definitional
     assert all(c.kind == "derived" for c in checks
                if c.identity not in definitional)
     assert all(c.passed for c in checks)
+    counts = {1: (1, 12), 2: (8, 35), 6: (24, 45)}
+    if m in counts:
+        assert (len(definitional), len(checks)) == counts[m]
 
 
 def test_failed_identity_reports_first_nonzero():
