@@ -10,7 +10,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 
 from .partitions import check_partition
-from .posets import abacus_runners, gap_count
+from .posets import gap_poset
 
 
 class NotBetaSetError(ValueError):
@@ -42,70 +42,59 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
-def cores_by_size(a: int, b: int) -> dict[int, list[tuple[int, ...]]]:
-    """Every simultaneous (a, b)-core, filed under its size, each class in
-    no particular order.
+def cores_by_size(a: int, b: int) -> dict[int, list[list[str]]]:
+    """Every simultaneous (a, b)-core, filed under its size as a pair of
+    parallel lists [keys, texts], each class in no particular order.
 
     A core's hook set is an order ideal of the gaps, and ascending order is
-    a linear extension of the gap poset.  So the walk meets the gaps in
-    ascending order, and at each gap of a runner of `abacus_runners` that is
-    still open it either closes the runner (that gap and every gap above it
-    are not members) or keeps the gap.  Closing is always allowed.  Closing
-    the gap g refuses g + b, the one gap of the next runner that the height
-    rule then forbids; it lies ahead, so every path ends in a core.
+    a linear extension of the gap poset.  Each gap g has one mask `shut[g]`
+    of its principal filter, g and every gap above it, built downward from
+    those of g + a and g + b.  The walk holds one mask of the gaps still
+    open and takes the lowest: it either keeps it or drops it and shuts its
+    filter.  Every gap below an open gap has been kept, so each open gap is
+    a real choice, every path ends in a core, and the walk takes
+    core_count - 1 keep steps.
 
     Members arrive in ascending order, so a kept gap's part is the gap less
     the members before it, fixed when the gap is kept and prepended to the
-    parts so far: each core comes out decoded and in descending order, with
-    no sort, and each part's int is shared by every core built on it.  A
-    core is filed under the sum of its kept gaps less C(count, 2), as in
-    `size_via_ideal`, never under the sum of its parts, so the parts stay an
+    core's two strings: its key, one code point per part, and its text, the
+    parts in decimal separated by spaces.  Both come out in descending
+    order, and no part is formatted after the walk.  Every part is at most
+    the gap count: the core of every gap has that largest part and contains
+    every other core (Vandehey).  Within a class no key is a proper prefix
+    of another, so a reverse sort of the keys is descending order on parts.
+    A core is filed under the sum of its kept gaps less C(count, 2), as in
+    `size_via_ideal`, never under the sum of its parts, so the key stays an
     independent check of that size.  The walk keeps its own stack, so no
-    depth can exhaust the recursion limit.  The cores of (a, b) are those of
-    (b, a), so it runs on the abacus of the smaller generator, which has
-    fewer runners to track.
+    depth can exhaust the recursion limit.
     """
-    gap_count(a, b)   # raises on a non-positive or non-coprime pair
-    a, b = min(a, b), max(a, b)
-    runner = {}   # each gap's runner, as one bit of a closed-runner mask
-    for k, (t, r) in enumerate(abacus_runners(a, b)):
-        for gap in range(r, r + a * t, a):
-            runner[gap] = 1 << k
-    gaps = sorted(runner)
+    gaps = gap_poset(a, b).elements
     n = len(gaps)
-    bits = [runner[gap] for gap in gaps]
-    position = {gap: p for p, gap in enumerate(gaps)}
-    # closing the gap at p refuses the gap b above it, as a bit of a mask
-    # over positions, when that is a gap
-    refuses = [1 << position[gap + b] if gap + b in position else 0 for gap in gaps]
-    following = {}   # (position, closed runners) -> the next gap of an open runner
-    classes = defaultdict(list)
-    stack = [(0, 0, 0, 0, 0, ())]   # (position, closed, refused, count, member sum, parts)
+    shut = {}   # each gap's principal filter, as a mask over positions
+    for p in range(n - 1, -1, -1):
+        gap = gaps[p]
+        shut[gap] = 1 << p | shut.get(gap + a, 0) | shut.get(gap + b, 0)
+    chars = list(map(chr, range(n + 1)))
+    digits = list(map(str, range(n + 1)))
+    words = [f"{part} " for part in digits]
+    keys, texts = defaultdict(list), defaultdict(list)
+    stack = [((1 << n) - 1, 0, 0, "", "")]   # (open, count, member sum, key, text)
     while stack:
-        pos, closed, refused, count, total, parts = stack.pop()
-        while True:
-            key = pos, closed
-            pos = following.get(key)
-            if pos is None:
-                pos = key[0]
-                while pos < n and closed & bits[pos]:
-                    pos += 1
-                following[key] = pos
-            if pos == n:
-                classes[total - count * (count - 1) // 2].append(parts)
-                break
-            if refused >> pos & 1:
-                closed |= bits[pos]
-                refused |= refuses[pos]
-            else:
-                stack.append((pos + 1, closed | bits[pos], refused | refuses[pos],
-                              count, total, parts))
-                gap = gaps[pos]
-                parts = (gap - count,) + parts
-                count += 1
-                total += gap
-            pos += 1
-    return dict(classes)
+        open_, count, total, key, text = stack.pop()
+        while open_:
+            low = open_ & -open_
+            gap = gaps[low.bit_length() - 1]
+            stack.append((open_ & ~shut[gap], count, total, key, text))
+            part = gap - count
+            key = chars[part] + key
+            text = words[part] + text if count else digits[part]
+            count += 1
+            total += gap
+            open_ ^= low
+        size = total - count * (count - 1) // 2
+        keys[size].append(key)
+        texts[size].append(text)
+    return {size: [cls, texts[size]] for size, cls in keys.items()}
 
 
 def size_via_ideal(members: Iterable[int]) -> int:

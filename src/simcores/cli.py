@@ -15,10 +15,14 @@ loads only those, and `--help` none.
 import argparse
 import os
 import sys
+from functools import partial
 from itertools import compress
 from math import gcd
+from operator import methodcaller
 
-MAX_LISTED_PARTS = 6_250_000   # (11, 13) lists 6,240,360
+# bounds gaps * core_count, 6,240,360 for (11, 13), whose listing itself
+# holds 2,108,752 parts
+MAX_LISTED_PARTS = 6_250_000
 MAX_LISTED_GAPS = 2_499        # the largest g with g(g + 1) <= that
 MAX_POSET_SIZE = 60
 MAX_M = 40
@@ -73,7 +77,6 @@ def _ratio(num, den):
 
 def _cmd_cores(args):
     from .betaset import cores_by_size
-    from .partitions import canonical_classes
     from .posets import gap_count
     from .stats import average_size_check, core_count
 
@@ -87,24 +90,34 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    classes = canonical_classes(cores_by_size(args.a, args.b))
-    # the decoded parts check the size the walk filed each core under, and
-    # the listing and the lattice-path transfer are independent routes
-    for size, cls in classes:
-        wrong = next(compress(cls, map(size.__ne__, map(sum, cls))), None)
+    classes = cores_by_size(args.a, args.b)
+    # A key's code points are its parts, each at most the gap count: read as
+    # Latin-1 bytes while that is below 256, else one ord per part.  They
+    # check the size the walk filed each core under.  Sorting a class's keys
+    # in reverse orders it by descending parts, and its texts follow.
+    parts_of = (methodcaller("encode", "latin-1") if gaps < 256
+                else partial(map, ord))
+    listed = []
+    for size in sorted(classes):
+        keys, texts = classes.pop(size)
+        wrong = next(compress(keys, map(size.__ne__, map(sum, map(parts_of, keys)))),
+                     None)
         if wrong is not None:
             raise ArithmeticError(f"a core listed under size {size} has parts "
-                                  f"adding up to {sum(wrong)}")
-    listed = (sum(len(cls) for _, cls in classes),
-              sum(size * len(cls) for size, cls in classes))
-    if listed != (check.count, check.total):
+                                  f"adding up to {sum(map(ord, wrong))}")
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        listed.append((size, list(map(texts.__getitem__, order))))
+    # the listing and the lattice-path transfer are independent routes
+    count = sum(len(texts) for _, texts in listed)
+    total = sum(size * len(texts) for size, texts in listed)
+    if (count, total) != (check.count, check.total):
         raise ArithmeticError(
-            f"the listing has {listed[0]} cores of total size {listed[1]}, the "
+            f"the listing has {count} cores of total size {total}, the "
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
-    # each class is written with one join, its parts' digits read from a
-    # table: the Frobenius number ab - a - b bounds every hook, so every part
-    digits = list(map(str, range(args.a * args.b - args.a - args.b + 1))).__getitem__
+    # each class is written with one join over its texts, "p q r" each, and
+    # replaces that put in the format's separators: "]" between cores, as
+    # no text holds it, and the part separator in place of " "
     write = sys.stdout.write
     if args.format == "json":
         import json
@@ -114,30 +127,30 @@ def _cmd_cores(args):
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
         write(head[:-2] + ',\n  "cores": [\n    ')
-        for i, (size, cls) in enumerate(classes):
+        for i, (size, texts) in enumerate(listed):
             if i:
                 write(",\n    ")
             if size:
-                write("[\n      " + "\n    ],\n    [\n      ".join(
-                    ",\n      ".join(map(digits, p)) for p in cls) + "\n    ]")
+                write("[\n      " + "]".join(texts).replace(" ", ",\n      ")
+                      .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
             else:
-                write(",\n    ".join(["[]"] * len(cls)))
+                write(",\n    ".join(["[]"] * len(texts)))
         write("\n  ]\n}\n")
     elif args.format == "csv":
         # CSV by hand, here and in `_report`: no field holds a comma, a
         # quote or a newline, so none needs quoting
         write("parts,size\n")
-        for size, cls in classes:
+        for size, texts in listed:
             end = f",{size}\n"
-            write(end.join(" ".join(map(digits, p)) for p in cls) + end)
+            write(end.join(texts) + end)
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
         print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for _, cls in classes:
-            write("  [" + "]\n  [".join(", ".join(map(digits, p)) for p in cls)
-                  + "]\n")
+        for _, texts in listed:
+            write("  [" + "]".join(texts).replace(" ", ", ")
+                  .replace("]", "]\n  [") + "]\n")
     return 0 if check.matches else 1
 
 

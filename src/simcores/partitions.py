@@ -71,26 +71,16 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def canonical_classes(classes: dict[int, list[tuple[int, ...]]]
-                      ) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """(size, class) for the size classes of `classes` in ascending size,
-    each class sorted in place by descending parts: the canonical order,
-    one class at a time.  Of two partitions of one size neither is a proper
-    prefix of the other, so a plain reverse sort is descending by parts."""
-    ordered = []
-    for size in sorted(classes):
-        cls = classes[size]
-        cls.sort(reverse=True)
-        ordered.append((size, cls))
-    return ordered
-
-
 def canonical_order(cores: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Sort in place by size, then by descending parts, and return `cores`."""
+    """Sort in place by size, then by descending parts, and return `cores`.
+    Of two partitions of one size neither is a proper prefix of the other,
+    so a plain reverse sort of each size class is descending by parts."""
     classes = defaultdict(list)
     for p in cores:
         classes[sum(p)].append(p)
-    cores[:] = chain.from_iterable(c for _, c in canonical_classes(classes))
+    for cls in classes.values():
+        cls.sort(reverse=True)
+    cores[:] = chain.from_iterable(classes[size] for size in sorted(classes))
     return cores
 
 

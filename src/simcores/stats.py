@@ -169,8 +169,9 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     (name, n) compares coefficient n of a statistic's series with that of
     its `recursion_rhs`.  Index m being the plain poset, the "-top" rows are
     the step formulas at j = m - 1.  At m = 1 only the count and member
-    recursions are reported: the layer and size recursions mix adjacent
-    layers of the truncation and need m >= 2.
+    recursions are reported.  The layer and size joins hold there too, and
+    `stat_series` solves R[0] and G[0] from them; they are left out of the
+    m = 1 report only to keep the pinned bytes of `recursions --m 1`.
     """
     grid = compute_stats(m, n_max)
     from .series import series   # series imports this module

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 import simcores
 from simcores import betaset, cli, stats
 from simcores.cli import _report, build_parser, main
+from simcores.partitions import canonical_order
 from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
 
@@ -459,7 +461,9 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
     def one_dropped(a, b):
         classes = real(a, b)
-        max(classes.values(), key=len).pop()
+        keys, texts = max(classes.values(), key=lambda cls: len(cls[0]))
+        keys.pop()
+        texts.pop()
         return classes
 
     monkeypatch.setattr(betaset, "cores_by_size", one_dropped)
@@ -485,6 +489,91 @@ def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(betaset, "cores_by_size", swapped)
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a core listed under size ")
+        assert "Traceback" not in err
+
+
+def render_listing(a, b, cores, fmt):
+    """The `cores` stdout for `cores`, a listing in canonical order, from
+    the writer that formatted each part from a table of digits."""
+    check = stats.average_size_check(a, b)
+    average = cli._ratio(check.total, check.count)
+    digits = list(map(str, range(a * b - a - b + 1))).__getitem__
+    classes = [(size, list(cls)) for size, cls in groupby(cores, key=sum)]
+    out = []
+    write = out.append
+    if fmt == "json":
+        head = json.dumps({"a": a, "b": b, "count": check.count,
+                           "total_size": check.total, "average": average,
+                           "matches": check.matches}, indent=2)
+        write(head[:-2] + ',\n  "cores": [\n    ')
+        for i, (size, cls) in enumerate(classes):
+            if i:
+                write(",\n    ")
+            if size:
+                write("[\n      " + "\n    ],\n    [\n      ".join(
+                    ",\n      ".join(map(digits, p)) for p in cls) + "\n    ]")
+            else:
+                write(",\n    ".join(["[]"] * len(cls)))
+        write("\n  ]\n}\n")
+    elif fmt == "csv":
+        write("parts,size\n")
+        for size, cls in classes:
+            end = f",{size}\n"
+            write(end.join(" ".join(map(digits, p)) for p in cls) + end)
+    else:
+        write(f"({a}, {b})-cores: {check.count}\n"
+              f"total size: {check.total}\n"
+              f"average size: {average}\n"
+              f"matches closed form: {'yes' if check.matches else 'no'}\n")
+        for _, cls in classes:
+            write("  [" + "]\n  [".join(", ".join(map(digits, p)) for p in cls)
+                  + "]\n")
+    return "".join(out)
+
+
+def mixed_kind_sizes(classes):
+    """The sizes whose class has keys with a code point above 255 (a part
+    above 255, a wider string) and keys without."""
+    return [size for size, (keys, _) in classes.items()
+            if {max(key, default="") > "\xff" for key in keys} == {True, False}]
+
+
+def test_cores_listing_across_string_kinds(capsys):
+    # (3, 301) has 300 gaps, so parts run up to 300: within one class, keys
+    # of parts below 256 and keys with a part above 255 sort and write
+    # side by side
+    classes = betaset.cores_by_size(3, 301)
+    assert len(mixed_kind_sizes(classes)) == 176
+    cores = canonical_order([tuple(map(ord, key))
+                             for keys, _ in classes.values() for key in keys])
+    assert len(cores) == 15_251 and max(map(max, cores[1:])) == 300
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == render_listing(3, 301, cores, fmt), fmt
+        if fmt == "json":
+            assert json.loads(out)["cores"] == list(map(list, cores))
+
+
+def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
+    # with 256 gaps or more the parts check reads each key by ord: two cores
+    # of mixed-kind classes swap classes, and only that read can see it
+    real = betaset.cores_by_size
+
+    def swapped(a, b):
+        classes = real(a, b)
+        small, large = (classes[size] for size in mixed_kind_sizes(classes)[:2])
+        for i in (0, 1):
+            small[i][0], large[i][0] = large[i][0], small[i][0]
+        return classes
+
+    monkeypatch.setattr(betaset, "cores_by_size", swapped)
+    for fmt in FORMATS:
+        code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
                              "--format", fmt)
         assert code == 1 and out == ""
         assert err.startswith("error: a core listed under size ")

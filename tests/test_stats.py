@@ -11,9 +11,10 @@ from simcores.betaset import ideal_to_partition
 from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
                              family_poset, gap_poset, induced_subposet,
                              order_ideals)
-from simcores.series import cross_check
+from simcores.series import cross_check, series
 from simcores.cli import EnumerationTooLargeError
-from simcores.stats import (StatRecord, _path_totals, average_size_check, compute_stats, core_count,
+from simcores.stats import (StatRecord, _path_totals, as_truncation_m, average_size_check,
+                            compute_stats, core_count, recursion_rhs,
                             is_slope_pair, verify_stat_recursions)
 
 
@@ -469,6 +470,16 @@ def test_recursions_degenerate_slope_one():
     names = {c.name for c in checks}
     assert names == {"count-join", "member-join"}
     assert all(c.passed for c in checks)
+
+
+def test_layer_and_size_joins_hold_at_m_1():
+    # left out of the m = 1 report only to keep its output; stat_series
+    # solves R[0] and G[0] from these joins
+    cols = [series(c) for c in list(zip(*compute_stats(1, 8)))[1:]]
+    A, T, R, G = ([s, top] for s, top in zip(cols, as_truncation_m(1, *cols)))
+    for stat, S in (("layer", R), ("size", G)):
+        rhs = recursion_rhs(stat, 0, A, T, R, G)
+        assert rhs.coeffs[:9] == S[0].coeffs and any(S[0].coeffs), stat
 
 
 def test_stat_record_fields():
