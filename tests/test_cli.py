@@ -496,8 +496,8 @@ def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
 
 
 def render_listing(a, b, cores, fmt):
-    """The `cores` stdout for `cores`, a listing in canonical order, from
-    the writer that formatted each part from a table of digits."""
+    """The `cores` stdout for `cores`, a listing in canonical order, each
+    part formatted from a table of digits: the oracle of the text writer."""
     check = stats.average_size_check(a, b)
     average = cli._ratio(check.total, check.count)
     digits = list(map(str, range(a * b - a - b + 1))).__getitem__

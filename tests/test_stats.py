@@ -13,9 +13,9 @@ from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
                              order_ideals)
 from simcores.series import cross_check, series
 from simcores.cli import EnumerationTooLargeError
-from simcores.stats import (StatRecord, _path_totals, as_truncation_m, average_size_check,
-                            compute_stats, core_count, recursion_rhs,
-                            is_slope_pair, verify_stat_recursions)
+from simcores.stats import (StatRecord, _path_totals, as_truncation_m,
+                            average_size_check, compute_stats, core_count,
+                            is_slope_pair, recursion_rhs, verify_stat_recursions)
 
 
 def brute_stats(family):
