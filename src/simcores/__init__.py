@@ -20,20 +20,15 @@ _EXPORTS = {
     "partitions": ("conjugate", "enumerate_cores_bounded", "hook_lengths",
                    "is_core", "partitions_of"),
     "posets": ("ElementNotInPosetError", "FamilyId", "GapPoset",
-               "InvalidFamilyError", "IsomorphismInstance", "IsomorphismReport",
-               "NonCoprimeError", "abacus_runners", "above_prefix_iso",
-               "above_prefix_part", "check_isomorphism", "detached_iso",
-               "detached_part", "family_poset", "gap_poset", "layer_index",
-               "minimal_elements", "order_ideals", "to_dot",
-               "trimmed_above_prefix_iso", "trimmed_detached_iso",
-               "trimmed_reflection_iso"),
+               "InvalidFamilyError", "NonCoprimeError", "abacus_runners",
+               "family_poset", "gap_poset", "order_ideals", "to_dot"),
     "series": ("CrossCheck", "DivisionByNonUnitError", "IdentityCheck",
                "IntegralityViolationError", "SeriesBundle", "TruncatedSeries",
                "check_identities", "constant", "cross_check",
                "fuss_catalan_number", "fuss_catalan_series", "stat_series"),
     "stats": ("AverageSizeCheck", "RecursionCheck", "StatRecord",
               "average_size_check", "compute_stats", "core_count",
-              "is_slope_pair", "verify_stat_recursions"),
+              "verify_stat_recursions"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

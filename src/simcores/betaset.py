@@ -9,7 +9,6 @@ without decoding it.
 from collections import defaultdict
 from collections.abc import Iterable
 
-from .partitions import check_partition
 from .posets import gap_poset
 
 
@@ -19,6 +18,7 @@ class NotBetaSetError(ValueError):
 
 def partition_to_ideal(parts: Iterable[int]) -> frozenset[int]:
     """First-column hook lengths of a partition, as a set."""
+    from .partitions import check_partition   # here: `cores` needs no partitions
     parts = check_partition(parts)
     r = len(parts)
     return frozenset(p + r - 1 - i for i, p in enumerate(parts))

@@ -28,10 +28,10 @@ class ElementNotInPosetError(LookupError):
 class GapPoset:
     """Finite poset of semigroup gaps, possibly restricted to a subset.
 
-    Invariant: `elements` is a convex set of gaps of {a, b}, under their
-    original labels so explicit element maps apply verbatim.  So its order
-    and Hasse diagram are the full gap poset's, restricted: `covers` holds
-    the (upper, lower) pairs with upper - lower in {a, b}, sorted.
+    Invariant: `elements` is a convex set of gaps of {a, b}, each under its
+    label in the full gap poset.  So its order and Hasse diagram are the
+    full gap poset's, restricted: `covers` holds the (upper, lower) pairs
+    with upper - lower in {a, b}, sorted.
 
     Immutable, equal and hashed by (a, b, elements).  It keeps an instance
     dict, where the cached properties live.
@@ -82,16 +82,6 @@ class GapPoset:
                     seen.add(q)
                     stack.append(q)
         return seen
-
-    def leq(self, q: int, p: int) -> bool:
-        """q <= p in the semigroup order (both must be elements)."""
-        for e in (q, p):
-            if e not in self:
-                raise ElementNotInPosetError(f"{e} is not an element of this poset")
-        return p in self._closure((q,), 1)
-
-    def incomparable(self, p: int, q: int) -> bool:
-        return not self.leq(p, q) and not self.leq(q, p)
 
 
 def gap_count(a: int, b: int) -> int:
@@ -182,13 +172,6 @@ def family_poset(family: FamilyId) -> GapPoset:
     return induced_subposet(poset, (p for p in poset.elements if p // a >= j))
 
 
-def layer_index(family: FamilyId, p: int) -> int:
-    """Layer of element p inside the poset named by `family`."""
-    if p not in family_poset(family):
-        raise ElementNotInPosetError(f"{p} is not an element of {family}")
-    return p // family.layer_divisor
-
-
 # A few entries: `order_ideals` reads each poset's masks once, and an
 # unbounded cache would keep every mask tuple alive for the process's life.
 @lru_cache(maxsize=16)
@@ -231,131 +214,6 @@ def order_ideals(poset: GapPoset) -> tuple[tuple[int, ...], ...]:
     ideals.sort()
     ideals.sort(key=len)   # stable: lexicographic within each cardinality
     return tuple(ideals)
-
-
-def minimal_elements(poset: GapPoset) -> tuple[int, ...]:
-    """Elements that cover nothing, in ascending order."""
-    uppers = {hi for hi, _ in poset.covers}
-    return tuple(e for e in poset.elements if e not in uppers)
-
-
-def above_prefix_part(poset: GapPoset, i: int) -> GapPoset:
-    """Elements above one of the first i - 1 minimal elements and
-    incomparable to every later minimal element."""
-    mins = minimal_elements(poset)
-    if not 1 <= i <= len(mins) + 1:
-        raise ValueError(f"i must be in [1, {len(mins) + 1}], got {i}")
-    prefix, rest = mins[:i - 1], mins[i - 1:]
-    # p is comparable to a minimal element q exactly when p >= q
-    keep = poset._closure(prefix, 1) - set(prefix) - poset._closure(rest, 1)
-    return induced_subposet(poset, keep)
-
-
-def detached_part(poset: GapPoset, i: int) -> GapPoset:
-    """Elements incomparable to each of the first i minimal elements."""
-    mins = minimal_elements(poset)
-    if not 1 <= i <= len(mins):
-        raise ValueError(f"i must be in [1, {len(mins)}], got {i}")
-    return induced_subposet(
-        poset, poset._element_set - poset._closure(mins[:i], 1))
-
-
-class IsomorphismInstance(
-        namedtuple("IsomorphismInstance", "name source target mapping")):
-    """One named poset pair together with an explicit element map, a dict."""
-
-    __slots__ = ()
-
-
-class IsomorphismReport(namedtuple("IsomorphismReport", "ok witness",
-                                   defaults=(None,))):
-    """Whether a map is an isomorphism, and if not, a witness of why."""
-
-    __slots__ = ()
-
-
-def check_isomorphism(source: GapPoset, target: GapPoset, mapping) -> IsomorphismReport:
-    """Verify that `mapping` is an order isomorphism from source onto target.
-
-    `mapping` is a dict.  Failures are reported with a witness rather than
-    raised, so a broken map is a test diagnostic, not a crash.
-    """
-    for p in source.elements:
-        if p not in mapping:
-            return IsomorphismReport(False, f"map not total: no image for {p}")
-    seen = set()
-    for fp in (mapping[p] for p in source.elements):
-        if fp in seen:
-            return IsomorphismReport(False, f"map not injective: {fp} is hit twice")
-        seen.add(fp)
-    if seen != set(target.elements):
-        off = min(seen ^ set(target.elements))
-        return IsomorphismReport(False, f"image and target differ at {off}")
-    bad = {(mapping[hi], mapping[lo]) for hi, lo in source.covers} ^ set(target.covers)
-    if bad:
-        return IsomorphismReport(False, f"cover relation differs at {min(bad)}")
-    return IsomorphismReport(True, None)
-
-
-# The catalog below fixes the slope-two family: plain posets are the gap
-# posets of (n, 2n + 1), trimmed posets drop the bottom layer of the gap
-# poset of (n + 1, 2n + 3).
-
-def _plain(n: int) -> GapPoset:
-    return family_poset(FamilyId(2, 0, n))
-
-
-def _trimmed(n: int) -> GapPoset:
-    return family_poset(FamilyId(2, 1, n))
-
-
-def trimmed_reflection_iso(n: int) -> IsomorphismInstance:
-    """Trimmed poset of index n onto the gap poset of (n + 1, 2n + 1),
-    reflecting every element inside its layer."""
-    source = _trimmed(n)
-    target = gap_poset(n + 1, 2 * n + 1)
-    mapping = {q: (2 * n + 2) * (q // (n + 1)) - q for q in source.elements}
-    return IsomorphismInstance(f"trimmed-reflection(n={n})", source, target, mapping)
-
-
-def above_prefix_iso(n: int, i: int) -> IsomorphismInstance:
-    """Trimmed poset of index i - 1 onto the above-prefix part of the plain
-    poset of index n, shifting each element by its layer."""
-    source = _trimmed(i - 1)
-    target = above_prefix_part(_plain(n), i)
-    mapping = {q: q + (n - i) * (q // i) for q in source.elements}
-    return IsomorphismInstance(f"above-prefix(n={n}, i={i})", source, target, mapping)
-
-
-def detached_iso(n: int, i: int) -> IsomorphismInstance:
-    """Plain poset of index n - i onto the detached part of the plain poset
-    of index n."""
-    source = _plain(n - i)
-    target = detached_part(_plain(n), i)
-    mapping = {p: p + i + i * (p // (n - i)) for p in source.elements}
-    return IsomorphismInstance(f"detached(n={n}, i={i})", source, target, mapping)
-
-
-def trimmed_above_prefix_iso(n: int, i: int) -> IsomorphismInstance:
-    """Plain poset of index i - 1 onto the above-prefix part of the trimmed
-    poset of index n."""
-    source = _plain(i - 1)
-    target = above_prefix_part(_trimmed(n), i)
-    mapping = {p: p + 2 * n + 3 + (n + 2 - i) * (p // (i - 1))
-               for p in source.elements}
-    return IsomorphismInstance(f"trimmed-above-prefix(n={n}, i={i})",
-                               source, target, mapping)
-
-
-def trimmed_detached_iso(n: int, i: int) -> IsomorphismInstance:
-    """Plain poset of index n - i + 1 onto the detached part of the trimmed
-    poset of index n."""
-    source = _plain(n - i + 1)
-    target = detached_part(_trimmed(n), i)
-    mapping = {p: p + n + 1 + i + i * (p // (n - i + 1))
-               for p in source.elements}
-    return IsomorphismInstance(f"trimmed-detached(n={n}, i={i})",
-                               source, target, mapping)
 
 
 def to_dot(poset: GapPoset) -> str:

@@ -96,14 +96,6 @@ def core_count(a: int, b: int) -> int:
     return q
 
 
-def is_slope_pair(a: int, b: int) -> bool:
-    """True when {a, b} = {k, m*k + 1} for some k, m >= 1."""
-    lo, hi = min(a, b), max(a, b)
-    if lo < 1 or hi < 2:
-        return False
-    return lo == 1 or hi % lo == 1
-
-
 class AverageSizeCheck(namedtuple("AverageSizeCheck", "a b count total matches")):
     """Count and total size of the (a, b)-cores (`count` hides `tuple.count`);
     `matches` is Armstrong's average (a-1)(b-1)(a+b+1)/24 multiplied out,

@@ -9,12 +9,10 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
+from oracles import above_prefix_part, assert_isomorphism, instance
 from simcores.betaset import ideal_to_partition, partition_to_ideal, size_via_ideal
 from simcores.partitions import is_core
-from simcores.posets import (FamilyId, above_prefix_iso, above_prefix_part,
-                             check_isomorphism, detached_iso, family_poset,
-                             gap_poset, order_ideals, trimmed_above_prefix_iso,
-                             trimmed_detached_iso, trimmed_reflection_iso)
+from simcores.posets import FamilyId, family_poset, gap_poset, order_ideals
 from simcores.series import check_identities, cross_check, stat_series
 from simcores.stats import average_size_check, verify_stat_recursions
 
@@ -151,16 +149,14 @@ def test_criterion_08_recursion_suite():
 
 @tracked("9 isomorphism catalog")
 def test_criterion_09_isomorphism_catalog():
-    instances = (
-        [trimmed_reflection_iso(n) for n in (2, 3, 5)]
-        + [above_prefix_iso(*p) for p in ((6, 3), (5, 2), (4, 4))]
-        + [detached_iso(*p) for p in ((6, 3), (5, 2), (7, 3))]
-        + [trimmed_above_prefix_iso(*p) for p in ((5, 4), (4, 3), (3, 4))]
-        + [trimmed_detached_iso(*p) for p in ((5, 4), (4, 2), (6, 3))]
-    )
-    for inst in instances:
-        report = check_isomorphism(inst.source, inst.target, inst.mapping)
-        assert report.ok, (inst.name, report.witness)
+    instances = {"trimmed-reflection": ((2,), (3,), (5,)),
+                 "above-prefix": ((6, 3), (5, 2), (4, 4)),
+                 "detached": ((6, 3), (5, 2), (7, 3)),
+                 "trimmed-above-prefix": ((5, 4), (4, 3), (3, 4)),
+                 "trimmed-detached": ((5, 4), (4, 2), (6, 3))}
+    for name, cases in instances.items():
+        for indices in cases:
+            assert_isomorphism(*instance(name, *indices))
     assert above_prefix_part(gap_poset(6, 13), 3).elements == (7, 8, 14, 20)
     assert above_prefix_part(family_poset(FamilyId(2, 1, 5)), 4).elements == \
         (14, 15, 20, 21, 27, 33)

@@ -666,8 +666,7 @@ FOOTPRINTS = [
     (("recursions", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
     (("series-verify", "--m", "2"), ("posets", "series", "stats")),
     (("cross-check", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
-    (("cores", "--a", "3", "--b", "7"),
-     ("betaset", "partitions", "posets", "stats")),
+    (("cores", "--a", "3", "--b", "7"), ("betaset", "posets", "stats")),
 ]
 
 

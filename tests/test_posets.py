@@ -3,15 +3,12 @@ from math import comb, gcd
 
 import pytest
 
+from oracles import (above_prefix_part, assert_isomorphism, detached_part,
+                     instance, minimal_elements)
 from simcores.posets import (ElementNotInPosetError, FamilyId, GapPoset,
                              InvalidFamilyError, NonCoprimeError, _ideal_masks,
-                             above_prefix_iso, above_prefix_part,
-                             check_isomorphism, detached_iso, detached_part,
                              family_poset, gap_count, gap_poset,
-                             induced_subposet, layer_index,
-                             minimal_elements, order_ideals, to_dot,
-                             trimmed_above_prefix_iso, trimmed_detached_iso,
-                             trimmed_reflection_iso)
+                             induced_subposet, order_ideals, to_dot)
 from simcores.series import fuss_catalan_series
 
 
@@ -194,14 +191,6 @@ def test_family_poset_rejects_bad_index():
         FamilyId(2, 1, 3)._replace(j=2)
 
 
-def test_layer_index():
-    assert layer_index(FamilyId(2, 0, 4), 15) == 3
-    assert layer_index(FamilyId(2, 0, 4), 3) == 0
-    assert layer_index(FamilyId(2, 1, 3), 23) == 5
-    with pytest.raises(ElementNotInPosetError):
-        layer_index(FamilyId(2, 0, 4), 4)
-
-
 def test_trimmed_ideal_counts_closed_form():
     for n in range(7):
         count = len(order_ideals(family_poset(FamilyId(2, 1, n))))
@@ -240,77 +229,61 @@ def test_subposet_range_errors():
 
 
 def test_trimmed_reflection_worked_instance():
-    inst = trimmed_reflection_iso(3)
-    assert sorted(inst.mapping.values()) == [1, 2, 3, 5, 6, 9, 10, 13, 17]
-    assert inst.target == gap_poset(4, 7)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    source, target, mapping = instance("trimmed-reflection", 3)
+    assert sorted(mapping.values()) == [1, 2, 3, 5, 6, 9, 10, 13, 17]
+    assert target == gap_poset(4, 7)
+    assert_isomorphism(source, target, mapping)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
 def test_trimmed_reflection_family(n):
-    inst = trimmed_reflection_iso(n)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    assert_isomorphism(*instance("trimmed-reflection", n))
 
 
 @pytest.mark.parametrize("n,i", [(6, 3), (5, 2), (4, 4), (6, 6), (5, 1)])
 def test_above_prefix_family(n, i):
-    inst = above_prefix_iso(n, i)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    assert_isomorphism(*instance("above-prefix", n, i))
 
 
 @pytest.mark.parametrize("n,i", [(6, 3), (5, 2), (7, 3), (4, 3)])
 def test_detached_family(n, i):
-    inst = detached_iso(n, i)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    assert_isomorphism(*instance("detached", n, i))
 
 
 @pytest.mark.parametrize("n,i", [(5, 4), (4, 3), (6, 2), (3, 4)])
 def test_trimmed_above_prefix_family(n, i):
-    inst = trimmed_above_prefix_iso(n, i)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    assert_isomorphism(*instance("trimmed-above-prefix", n, i))
 
 
 @pytest.mark.parametrize("n,i", [(5, 4), (4, 2), (6, 3), (5, 5)])
 def test_trimmed_detached_family(n, i):
-    inst = trimmed_detached_iso(n, i)
-    assert check_isomorphism(inst.source, inst.target, inst.mapping).ok
+    assert_isomorphism(*instance("trimmed-detached", n, i))
 
 
 def test_check_isomorphism_identity():
     poset = gap_poset(3, 7)
-    assert check_isomorphism(poset, poset, {e: e for e in poset.elements}).ok
+    assert_isomorphism(poset, poset, {e: e for e in poset.elements})
 
 
 def test_check_isomorphism_witnesses():
     poset = gap_poset(3, 7)
     small = gap_poset(2, 5)
     partial = {e: e for e in poset.elements[:-1]}
-    report = check_isomorphism(poset, poset, partial)
-    assert not report.ok and "not total" in report.witness
     collapsed = dict.fromkeys(poset.elements, 1)
-    report = check_isomorphism(poset, poset, collapsed)
-    assert not report.ok and "not injective" in report.witness
-    report = check_isomorphism(small, poset, {1: 1, 3: 2})
-    assert not report.ok and "differ" in report.witness
+    for source, mapping in ((poset, partial), (poset, collapsed),
+                            (small, {1: 1, 3: 2})):
+        with pytest.raises(AssertionError, match="not a bijection"):
+            assert_isomorphism(source, poset, mapping)
     # right element set, scrambled order
     swap = {1: 2, 2: 1, 4: 4, 5: 5, 8: 8, 11: 11}
-    report = check_isomorphism(poset, poset, swap)
-    assert not report.ok and "cover" in report.witness
+    with pytest.raises(AssertionError, match="covers not carried"):
+        assert_isomorphism(poset, poset, swap)
 
 
 def test_to_dot():
     text = to_dot(gap_poset(2, 5))
     assert text.splitlines() == ['digraph hasse {', '  "1";', '  "3";',
                                  '  "3" -> "1";', '}']
-
-
-def test_leq_and_incomparable():
-    poset = gap_poset(3, 7)
-    assert poset.leq(1, 11)
-    assert not poset.leq(11, 1)
-    assert poset.incomparable(4, 5)
-    with pytest.raises(ElementNotInPosetError):
-        poset.leq(3, 11)
 
 
 def test_induced_subposet_keeps_labels():
@@ -326,8 +299,9 @@ def _assert_order_matches_oracle(poset):
     assert poset.covers == reduced_covers(poset), (a, b, poset.elements)
     pairs = 0
     for q in poset.elements:
+        above = poset._closure((q,), 1)   # the up-set of q
         for p in poset.elements:
-            assert poset.leq(q, p) == _representable(p - q, a, b), (a, b, q, p)
+            assert (p in above) == _representable(p - q, a, b), (a, b, q, p)
             pairs += 1
     return pairs
 

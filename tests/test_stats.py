@@ -15,7 +15,7 @@ from simcores.series import cross_check, series
 from simcores.cli import EnumerationTooLargeError
 from simcores.stats import (StatRecord, _path_totals, as_truncation_m,
                             average_size_check, compute_stats, core_count,
-                            is_slope_pair, recursion_rhs, verify_stat_recursions)
+                            recursion_rhs, verify_stat_recursions)
 
 
 def brute_stats(family):
@@ -135,7 +135,7 @@ def test_checks_past_the_guard():
         chk = average_size_check(a, b)
         assert chk.count == core_count(a, b) and chk.matches
     for a, b in [(13, 29), (19, 30)]:
-        assert not is_slope_pair(a, b)
+        assert b % a != 1
         chk = average_size_check(a, b)
         # Armstrong's closed form, for every coprime pair
         armstrong = Fraction((a - 1) * (b - 1) * (a + b + 1), 24 * (a + b)) \
@@ -280,15 +280,6 @@ def test_average_size_check_long_chain():
     # Python's recursion limit
     chk = average_size_check(2, 2003)
     assert chk.count == 1002 and chk.matches
-
-
-def test_is_slope_pair():
-    assert is_slope_pair(2, 5)
-    assert is_slope_pair(5, 2)
-    assert is_slope_pair(1, 9)
-    assert is_slope_pair(3, 4)
-    assert not is_slope_pair(5, 7)
-    assert not is_slope_pair(3, 8)
 
 
 def armstrong(a, b, total):
