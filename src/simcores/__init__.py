@@ -15,10 +15,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "betaset": ("NotBetaSetError", "cores_by_size", "ideal_to_partition",
-                "partition_to_ideal", "size_via_ideal"),
+                "partition_to_ideal"),
     "cli": ("EnumerationTooLargeError",),
-    "partitions": ("conjugate", "enumerate_cores_bounded", "hook_lengths",
-                   "is_core", "partitions_of"),
     "posets": ("ElementNotInPosetError", "FamilyId", "GapPoset",
                "InvalidFamilyError", "NonCoprimeError", "abacus_runners",
                "family_poset", "gap_poset", "order_ideals", "to_dot"),

@@ -63,10 +63,10 @@ def cores_by_size(a: int, b: int) -> dict[int, list[list[str]]]:
     the gap count: the core of every gap has that largest part and contains
     every other core (Vandehey).  Within a class no key is a proper prefix
     of another, so a reverse sort of the keys is descending order on parts.
-    A core is filed under the sum of its kept gaps less C(count, 2), as in
-    `size_via_ideal`, never under the sum of its parts, so the key stays an
-    independent check of that size.  The walk keeps its own stack, so no
-    depth can exhaust the recursion limit.
+    A core is filed under its kept-gap sum less C(count, 2), which the
+    tests check by the oracle `size_via_ideal`, never under the sum of its
+    parts, so the key stays an independent check of that size.  The walk
+    keeps its own stack, so no depth can exhaust the recursion limit.
     """
     gaps = gap_poset(a, b).elements
     n = len(gaps)
@@ -95,14 +95,3 @@ def cores_by_size(a: int, b: int) -> dict[int, list[list[str]]]:
         keys[size].append(key)
         texts[size].append(text)
     return {size: [cls, texts[size]] for size, cls in keys.items()}
-
-
-def size_via_ideal(members: Iterable[int]) -> int:
-    """Partition size recovered directly from a hook set.
-
-    Equals sum(members) - C(r, 2); computed without building the partition,
-    so it is an independent route to size(ideal_to_partition(members)).
-    """
-    hooks = _validated_descending(members)
-    r = len(hooks)
-    return sum(hooks) - r * (r - 1) // 2

@@ -9,9 +9,9 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
-from oracles import above_prefix_part, assert_isomorphism, instance
-from simcores.betaset import ideal_to_partition, partition_to_ideal, size_via_ideal
-from simcores.partitions import is_core
+from oracles import (above_prefix_part, assert_isomorphism, instance, is_core,
+                     size_via_ideal)
+from simcores.betaset import ideal_to_partition, partition_to_ideal
 from simcores.posets import FamilyId, family_poset, gap_poset, order_ideals
 from simcores.series import check_identities, cross_check, stat_series
 from simcores.stats import average_size_check, verify_stat_recursions

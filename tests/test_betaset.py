@@ -3,11 +3,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import (canonical_order, enumerate_cores_bounded, hook_lengths,
+                     is_core, size_via_ideal)
 from simcores.betaset import (NotBetaSetError, cores_by_size,
-                              ideal_to_partition, partition_to_ideal,
-                              size_via_ideal)
-from simcores.partitions import (canonical_order, enumerate_cores_bounded,
-                                 hook_lengths, is_core)
+                              ideal_to_partition, partition_to_ideal)
 from simcores.posets import NonCoprimeError, gap_poset, order_ideals
 from simcores.stats import average_size_check, core_count
 
@@ -18,6 +17,12 @@ def test_partition_to_ideal_worked_example():
     # cross-check against the first column of the hook matrix
     first_column = {row[0] for row in hook_lengths((2, 1))}
     assert partition_to_ideal((2, 1)) == frozenset({3, 1}) == first_column
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, -1)])
+def test_partition_to_ideal_rejects_bad_partitions(parts):
+    with pytest.raises(ValueError, match="parts must be"):
+        partition_to_ideal(parts)
 
 
 def test_ideal_to_partition_examples():

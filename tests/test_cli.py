@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import simcores
+from oracles import canonical_order
 from simcores import betaset, cli, stats
 from simcores.cli import _report, build_parser, main
-from simcores.partitions import canonical_order
 from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
 

