@@ -8,6 +8,7 @@ without decoding it.
 
 from collections import defaultdict
 from collections.abc import Iterable
+from heapq import heappop, heappush
 
 from .posets import gap_poset
 
@@ -42,56 +43,76 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
-def cores_by_size(a: int, b: int) -> dict[int, list[list[str]]]:
-    """Every simultaneous (a, b)-core, filed under its size as a pair of
-    parallel lists [keys, texts], each class in no particular order.
+def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
+    """Every simultaneous (a, b)-core, as an ascending list of size classes
+    (size, texts, gap_sizes), each class in canonical order: descending
+    lexicographic parts.  A text is a core's parts in decimal separated by
+    spaces, and gap_sizes[i] is the size of core i read off its hook set.
 
-    A core's hook set is an order ideal of the gaps, and ascending order is
-    a linear extension of the gap poset.  Each gap g has one mask `shut[g]`
-    of its principal filter, g and every gap above it, built downward from
-    those of g + a and g + b.  The walk holds one mask of the gaps still
-    open and takes the lowest: it either keeps it or drops it and shuts its
-    filter.  Every gap below an open gap has been kept, so each open gap is
-    a real choice, every path ends in a core, and the walk takes
-    core_count - 1 keep steps.
+    Removing the largest part of a core leaves a core, its parent: the hook
+    set loses its largest member, a maximal element of the ideal.  So every
+    nonempty core is its parent with one part p = g - count prepended, for a
+    gap g above the parent's largest member whose lower covers g - a and
+    g - b are in the parent's ideal or are no gaps.  Each core carries the
+    mask of those gaps, its extension mask.  The child by g keeps the bits
+    of its parent's mask above g and adds the up-covers of g whose other
+    lower cover is in the ideal or is no gap.
 
-    Members arrive in ascending order, so a kept gap's part is the gap less
-    the members before it, fixed when the gap is kept and prepended to the
-    core's two strings: its key, one code point per part, and its text, the
-    parts in decimal separated by spaces.  Both come out in descending
-    order, and no part is formatted after the walk.  Every part is at most
-    the gap count: the core of every gap has that largest part and contains
-    every other core (Vandehey).  Within a class no key is a proper prefix
-    of another, so a reverse sort of the keys is descending order on parts.
-    A core is filed under its kept-gap sum less C(count, 2), which the
-    tests check by the oracle `size_via_ideal`, never under the sum of its
-    parts, so the key stays an independent check of that size.  The walk
-    keeps its own stack, so no depth can exhaust the recursion limit.
+    Descending order on parts compares the largest part first and the
+    parent's parts after, so class s is, for p descending, the children with
+    part p of class s - p, in that class's order.  Sizes are taken in
+    ascending order from a heap of pending sizes.  Every parent is smaller
+    than its child, so a class is complete when it is taken, and its
+    children are filed under (size, part).  Each child costs one string
+    concatenation and a few bit operations; only the distinct largest parts
+    of a class are sorted.  A class is filed under the sum of its parts, and
+    its gap_sizes are each core's kept-gap sum less C(count, 2), a second
+    route to the same size.  The loop keeps no stack, so no depth can
+    exhaust the recursion limit.
     """
     gaps = gap_poset(a, b).elements
-    n = len(gaps)
-    shut = {}   # each gap's principal filter, as a mask over positions
-    for p in range(n - 1, -1, -1):
-        gap = gaps[p]
-        shut[gap] = 1 << p | shut.get(gap + a, 0) | shut.get(gap + b, 0)
-    chars = list(map(chr, range(n + 1)))
-    digits = list(map(str, range(n + 1)))
+    bit = {gap: 1 << i for i, gap in enumerate(gaps)}
+    # per gap position: each up-cover's bit, with the bit of its other lower
+    # cover, 0 when that is no gap
+    covers = [(bit.get(gap + a, 0), bit.get(gap + a - b, 0),
+               bit.get(gap + b, 0), bit.get(gap + b - a, 0)) for gap in gaps]
+    minimal = sum(bit[gap] for gap in gaps
+                  if gap - a not in bit and gap - b not in bit)
+    # every part is at most the gap count: the core of every gap has that
+    # largest part and contains every other core (Vandehey)
+    digits = list(map(str, range(len(gaps) + 1)))
     words = [f"{part} " for part in digits]
-    keys, texts = defaultdict(list), defaultdict(list)
-    stack = [((1 << n) - 1, 0, 0, "", "")]   # (open, count, member sum, key, text)
-    while stack:
-        open_, count, total, key, text = stack.pop()
-        while open_:
-            low = open_ & -open_
-            gap = gaps[low.bit_length() - 1]
-            stack.append((open_ & ~shut[gap], count, total, key, text))
-            part = gap - count
-            key = chars[part] + key
-            text = words[part] + text if count else digits[part]
-            count += 1
-            total += gap
-            open_ ^= low
-        size = total - count * (count - 1) // 2
-        keys[size].append(key)
-        texts[size].append(text)
-    return {size: [cls, texts[size]] for size, cls in keys.items()}
+    # size -> part -> the children of that largest part, each a tuple
+    # (text, ideal, extension mask, count, kept-gap sum)
+    pending = defaultdict(dict, {0: {0: [("", 0, minimal, 0, 0)]}})
+    sizes = [0]
+    classes = []
+    while sizes:
+        size = heappop(sizes)
+        by_part = pending.pop(size)
+        cls = [core for part in sorted(by_part, reverse=True) for core in by_part[part]]
+        born = defaultdict(list)
+        for text, ideal, ext, count, total in cls:
+            while ext:   # lowest gap first, so ext keeps only gaps above it
+                low = ext & -ext
+                ext ^= low
+                i = low.bit_length() - 1
+                gap = gaps[i]
+                part = gap - count
+                child = ideal | low
+                up_a, other_a, up_b, other_b = covers[i]
+                grown = ext
+                if child & other_a == other_a:
+                    grown |= up_a
+                if child & other_b == other_b:
+                    grown |= up_b
+                born[part].append((words[part] + text if count else digits[part],
+                                   child, grown, count + 1, total + gap))
+        for part, children in born.items():
+            if size + part not in pending:
+                heappush(sizes, size + part)
+            pending[size + part][part] = children
+        classes.append((size, [core[0] for core in cls],
+                        [total - count * (count - 1) // 2
+                         for _, _, _, count, total in cls]))
+    return classes

@@ -15,10 +15,7 @@ loads only those, and `--help` none.
 import argparse
 import os
 import sys
-from functools import partial
-from itertools import compress
 from math import gcd
-from operator import methodcaller
 
 # bounds gaps * core_count, 6,240,360 for (11, 13), whose listing itself
 # holds 2,108,752 parts
@@ -91,25 +88,17 @@ def _cmd_cores(args):
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
     classes = cores_by_size(args.a, args.b)
-    # A key's code points are its parts, each at most the gap count: read as
-    # Latin-1 bytes while that is below 256, else one ord per part.  They
-    # check the size the walk filed each core under.  Sorting a class's keys
-    # in reverse orders it by descending parts, and its texts follow.
-    parts_of = (methodcaller("encode", "latin-1") if gaps < 256
-                else partial(map, ord))
-    listed = []
-    for size in sorted(classes):
-        keys, texts = classes.pop(size)
-        wrong = next(compress(keys, map(size.__ne__, map(sum, map(parts_of, keys)))),
-                     None)
-        if wrong is not None:
-            raise ArithmeticError(f"a core listed under size {size} has parts "
-                                  f"adding up to {sum(map(ord, wrong))}")
-        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-        listed.append((size, list(map(texts.__getitem__, order))))
+    # Classes come in ascending size, each in canonical order already.  Each
+    # is filed under the sum of its parts and carries each core's size read
+    # off its hook set: the two routes must agree on every core.
+    for size, _, gap_sizes in classes:
+        if gap_sizes.count(size) != len(gap_sizes):
+            wrong = next(s for s in gap_sizes if s != size)
+            raise ArithmeticError(f"a core listed under size {size} has a "
+                                  f"hook set of size {wrong}")
     # the listing and the lattice-path transfer are independent routes
-    count = sum(len(texts) for _, texts in listed)
-    total = sum(size * len(texts) for size, texts in listed)
+    count = sum(len(texts) for _, texts, _ in classes)
+    total = sum(size * len(texts) for size, texts, _ in classes)
     if (count, total) != (check.count, check.total):
         raise ArithmeticError(
             f"the listing has {count} cores of total size {total}, the "
@@ -127,7 +116,7 @@ def _cmd_cores(args):
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
         write(head[:-2] + ',\n  "cores": [\n    ')
-        for i, (size, texts) in enumerate(listed):
+        for i, (size, texts, _) in enumerate(classes):
             if i:
                 write(",\n    ")
             if size:
@@ -140,7 +129,7 @@ def _cmd_cores(args):
         # CSV by hand, here and in `_report`: no field holds a comma, a
         # quote or a newline, so none needs quoting
         write("parts,size\n")
-        for size, texts in listed:
+        for size, texts, _ in classes:
             end = f",{size}\n"
             write(end.join(texts) + end)
     else:
@@ -148,7 +137,7 @@ def _cmd_cores(args):
         print(f"total size: {check.total}")
         print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for _, texts in listed:
+        for _, texts, _ in classes:
             write("  [" + "]".join(texts).replace(" ", ", ")
                   .replace("]", "]\n  [") + "]\n")
     return 0 if check.matches else 1

@@ -91,13 +91,23 @@ def test_bijection_image_is_every_core():
 
 
 def decoded(classes):
-    """`cores_by_size`'s classes as parts tuples, read off each key's code
-    points; each text must be the same parts in decimal."""
-    out = {}
-    for size, (keys, texts) in classes.items():
-        out[size] = [tuple(map(ord, key)) for key in keys]
-        assert texts == [" ".join(map(str, p)) for p in out[size]], size
+    """`cores_by_size`'s classes as (size, parts tuples) pairs, each text read
+    back into its parts.  Sizes must ascend, no class may be empty, and each
+    core's parts and its size read off its hook set must give its class size."""
+    sizes = [size for size, _, _ in classes]
+    assert sizes == sorted(set(sizes))
+    out = []
+    for size, texts, gap_sizes in classes:
+        cls = [tuple(map(int, text.split())) for text in texts]
+        assert cls and all(sum(p) == size for p in cls), size
+        assert gap_sizes == [size] * len(cls), size
+        out.append((size, cls))
     return out
+
+
+def listing(classes):
+    """The cores of `decoded(classes)` in one list, in the order they come."""
+    return [p for _, cls in decoded(classes) for p in cls]
 
 
 def test_cores_by_size_match_ideal_enumeration():
@@ -106,45 +116,45 @@ def test_cores_by_size_match_ideal_enumeration():
              if gcd(a, b) == 1 and (a - 1) * (b - 1) <= 80]
     assert len(pairs) == 371 and (2, 81) in pairs and (81, 1) in pairs
     for a, b in pairs:
-        classes = decoded(cores_by_size(a, b))
-        for size, cls in classes.items():
-            assert cls and all(sum(p) == size for p in cls), (a, b, size)
-        # the walk leaves each class in no particular order
-        walked = [p for size in sorted(classes)
-                  for p in sorted(classes[size], reverse=True)]
+        cores = listing(cores_by_size(a, b))
         enumerated = canonical_order([ideal_to_partition(m)
                                       for m in order_ideals(gap_poset(a, b))])
-        assert walked == enumerated, (a, b)
-        assert len(walked) == core_count(a, b), (a, b)
-        swapped = decoded(cores_by_size(b, a))
-        assert swapped.keys() == classes.keys(), (a, b)
-        assert all(sorted(swapped[size]) == sorted(cls)
-                   for size, cls in classes.items()), (a, b)
+        # each class comes out in canonical order, with no sort after
+        assert cores == enumerated, (a, b)
+        assert len(cores) == core_count(a, b), (a, b)
+        assert listing(cores_by_size(b, a)) == cores, (a, b)
 
 
 def test_cores_by_size_deep_single_runner():
-    # the 2-abacus of (2, 4999) is one runner of 2,499 gaps, so the walk
-    # runs 2,499 deep; its cores are the staircases k, k - 1, ..., 1
-    staircases = {k * (k + 1) // 2: [tuple(range(k, 0, -1))] for k in range(2500)}
-    assert decoded(cores_by_size(2, 4999)) == staircases
-    assert decoded(cores_by_size(4999, 2)) == staircases
+    # the gap poset of (2, 4999) is one chain of 2,499 gaps; its cores are
+    # the staircases k, k - 1, ..., 1, one to a size
+    staircases = [tuple(range(k, 0, -1)) for k in range(2500)]
+    assert listing(cores_by_size(2, 4999)) == staircases
+    assert listing(cores_by_size(4999, 2)) == staircases
+
+
+# past the enumeration oracle: every coprime pair with 41-60 gaps and at most
+# 15,000 cores
+BEYOND_ENUMERATION = [(a, b) for a in range(2, 122) for b in range(a + 1, 122)
+                      if gcd(a, b) == 1 and 41 <= (a - 1) * (b - 1) // 2 <= 60
+                      and core_count(a, b) <= 15_000]
 
 
 def test_cores_by_size_agree_with_transfer_beyond_enumeration():
-    # past the enumeration oracle: every coprime pair with 41-60 gaps and at
-    # most 15,000 cores, against the lattice-path transfer
-    pairs = [(a, b) for a in range(2, 122) for b in range(a + 1, 122)
-             if gcd(a, b) == 1 and 41 <= (a - 1) * (b - 1) // 2 <= 60
-             and core_count(a, b) <= 15_000]
+    pairs = BEYOND_ENUMERATION
     assert len(pairs) == 53 and (2, 121) in pairs and (8, 13) in pairs
     for a, b in pairs:
         classes = decoded(cores_by_size(a, b))
-        for size, cls in classes.items():
-            assert cls and all(sum(p) == size for p in cls), (a, b, size)
         check = average_size_check(a, b)
-        assert sum(map(len, classes.values())) == check.count, (a, b)
-        assert sum(size * len(cls) for size, cls in classes.items()) \
-            == check.total, (a, b)
+        assert sum(len(cls) for _, cls in classes) == check.count, (a, b)
+        assert sum(size * len(cls) for size, cls in classes) == check.total, (a, b)
+
+
+def test_cores_by_size_classes_descend_beyond_enumeration():
+    # canonical order within a class is descending order on parts
+    for a, b in BEYOND_ENUMERATION:
+        for size, cls in decoded(cores_by_size(a, b)):
+            assert cls == sorted(cls, reverse=True), (a, b, size)
 
 
 def test_cores_by_size_reject_bad_pairs():

@@ -461,9 +461,9 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
     def one_dropped(a, b):
         classes = real(a, b)
-        keys, texts = max(classes.values(), key=lambda cls: len(cls[0]))
-        keys.pop()
+        _, texts, gap_sizes = max(classes, key=lambda cls: len(cls[1]))
         texts.pop()
+        gap_sizes.pop()
         return classes
 
     monkeypatch.setattr(betaset, "cores_by_size", one_dropped)
@@ -476,14 +476,16 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
 
 def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
-    # two cores of different sizes swap classes: the count and the total
-    # still match the transfer, so only the decoded parts can see it
+    # two cores of different sizes swap classes, each text with its size
+    # read off its hook set: the count and the total still match the
+    # transfer, so only the per-core size check can see it
     real = betaset.cores_by_size
 
     def swapped(a, b):
         classes = real(a, b)
-        small, large = (classes[size] for size in sorted(classes)[1:3])
-        small[0], large[0] = large[0], small[0]
+        (_, *small), (_, *large) = classes[1:3]
+        for i in (0, 1):
+            small[i][0], large[i][0] = large[i][0], small[i][0]
         return classes
 
     monkeypatch.setattr(betaset, "cores_by_size", swapped)
@@ -534,21 +536,22 @@ def render_listing(a, b, cores, fmt):
     return "".join(out)
 
 
-def mixed_kind_sizes(classes):
-    """The sizes whose class has keys with a code point above 255 (a part
-    above 255, a wider string) and keys without."""
-    return [size for size, (keys, _) in classes.items()
-            if {max(key, default="") > "\xff" for key in keys} == {True, False}]
+def mixed_kind_classes(classes):
+    """The classes of `cores_by_size` that list cores with a part above 255
+    (past one byte) beside cores with none."""
+    return [cls for cls in classes
+            if {max(map(int, text.split()), default=0) > 255
+                for text in cls[1]} == {True, False}]
 
 
 def test_cores_listing_across_string_kinds(capsys):
-    # (3, 301) has 300 gaps, so parts run up to 300: within one class, keys
-    # of parts below 256 and keys with a part above 255 sort and write
-    # side by side
+    # (3, 301) has 300 gaps, so parts run up to 300: within one class, cores
+    # with parts below 256 only and cores with a part above 255 are built
+    # and written side by side
     classes = betaset.cores_by_size(3, 301)
-    assert len(mixed_kind_sizes(classes)) == 176
-    cores = canonical_order([tuple(map(ord, key))
-                             for keys, _ in classes.values() for key in keys])
+    assert len(mixed_kind_classes(classes)) == 176
+    cores = canonical_order([tuple(map(int, text.split()))
+                             for _, texts, _ in classes for text in texts])
     assert len(cores) == 15_251 and max(map(max, cores[1:])) == 300
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
@@ -560,13 +563,14 @@ def test_cores_listing_across_string_kinds(capsys):
 
 
 def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
-    # with 256 gaps or more the parts check reads each key by ord: two cores
-    # of mixed-kind classes swap classes, and only that read can see it
+    # with 256 gaps or more parts run past one byte: two cores of classes
+    # that mix both kinds swap classes, each text with its size read off its
+    # hook set, and only the per-core size check can see it
     real = betaset.cores_by_size
 
     def swapped(a, b):
         classes = real(a, b)
-        small, large = (classes[size] for size in mixed_kind_sizes(classes)[:2])
+        (_, *small), (_, *large) = mixed_kind_classes(classes)[:2]
         for i in (0, 1):
             small[i][0], large[i][0] = large[i][0], small[i][0]
         return classes
