@@ -45,30 +45,25 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
 
 def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
     """Every simultaneous (a, b)-core, as an ascending list of size classes
-    (size, texts, gap_sizes), each class in canonical order: descending
-    lexicographic parts.  A text is a core's parts in decimal separated by
-    spaces, and gap_sizes[i] is the size of core i read off its hook set.
+    (size, texts, gap_sizes), each class in canonical order (descending
+    parts).  A text is a core's parts in decimal separated by spaces, and
+    gap_sizes[i] is core i's kept-gap sum less C(count, 2): its size read
+    off its hook set, a second route to the class size, the sum of parts.
 
-    Removing the largest part of a core leaves a core, its parent: the hook
-    set loses its largest member, a maximal element of the ideal.  So every
-    nonempty core is its parent with one part p = g - count prepended, for a
-    gap g above the parent's largest member whose lower covers g - a and
-    g - b are in the parent's ideal or are no gaps.  Each core carries the
-    mask of those gaps, its extension mask.  The child by g keeps the bits
-    of its parent's mask above g and adds the up-covers of g whose other
-    lower cover is in the ideal or is no gap.
+    Removing the largest part of a core leaves a core, its parent, whose
+    hook set lacks the largest member.  So every nonempty core is its
+    parent with one part p = g - count prepended, for a gap g above the
+    parent's largest member whose lower covers g - a and g - b are in the
+    parent's ideal or are no gaps.  Each core carries the mask of those
+    gaps: its child by g keeps the bits above g and adds the up-covers of g
+    whose other lower cover is in the ideal or is no gap.
 
-    Descending order on parts compares the largest part first and the
-    parent's parts after, so class s is, for p descending, the children with
-    part p of class s - p, in that class's order.  Sizes are taken in
-    ascending order from a heap of pending sizes.  Every parent is smaller
-    than its child, so a class is complete when it is taken, and its
-    children are filed under (size, part).  Each child costs one string
-    concatenation and a few bit operations; only the distinct largest parts
-    of a class are sorted.  A class is filed under the sum of its parts, and
-    its gap_sizes are each core's kept-gap sum less C(count, 2), a second
-    route to the same size.  The loop keeps no stack, so no depth can
-    exhaust the recursion limit.
+    So class s is, for p descending, the children with part p of class
+    s - p, in that class's order.  Sizes are taken in ascending order from
+    a heap; every parent is smaller than its child, so a class is complete
+    when it is taken.  Each child costs one string concatenation and a few
+    bit operations, and the loop keeps no stack, so no depth can exhaust
+    the recursion limit.
     """
     gaps = gap_poset(a, b).elements
     bit = {gap: 1 << i for i, gap in enumerate(gaps)}

@@ -92,13 +92,15 @@ def test_bijection_image_is_every_core():
 
 def decoded(classes):
     """`cores_by_size`'s classes as (size, parts tuples) pairs, each text read
-    back into its parts.  Sizes must ascend, no class may be empty, and each
-    core's parts and its size read off its hook set must give its class size."""
+    back into its parts and written again the same.  Sizes must ascend, no
+    class may be empty, and each core's parts and its size read off its hook
+    set must give its class size."""
     sizes = [size for size, _, _ in classes]
     assert sizes == sorted(set(sizes))
     out = []
     for size, texts, gap_sizes in classes:
         cls = [tuple(map(int, text.split())) for text in texts]
+        assert texts == [" ".join(map(str, p)) for p in cls], size
         assert cls and all(sum(p) == size for p in cls), size
         assert gap_sizes == [size] * len(cls), size
         out.append((size, cls))
