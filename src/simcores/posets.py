@@ -8,7 +8,7 @@ p is floor(p / (n + 1))) drives all the statistics in this package.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from math import gcd
 
@@ -25,63 +25,36 @@ class ElementNotInPosetError(LookupError):
     """An element was addressed that the poset does not contain."""
 
 
-class GapPoset:
+class GapPoset(namedtuple("GapPoset", "a b elements")):
     """Finite poset of semigroup gaps, possibly restricted to a subset.
 
     Invariant: `elements` is a convex set of gaps of {a, b}, each under its
     label in the full gap poset.  So its order and Hasse diagram are the
     full gap poset's, restricted: `covers` holds the (upper, lower) pairs
-    with upper - lower in {a, b}, sorted.
-
-    Immutable, equal and hashed by (a, b, elements).  It keeps an instance
-    dict, where the cached properties live.
+    with upper - lower in {a, b}, sorted.  A named tuple: equality, hash,
+    `len` and `in` are those of (a, b, elements), so read `elements`.
     """
 
-    def __init__(self, a: int, b: int, elements: tuple[int, ...]):
-        self.__dict__.update(a=a, b=b, elements=elements)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.elements) == (other.a, other.b, other.elements)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.elements))
-
-    def __repr__(self):
-        return f"GapPoset(a={self.a!r}, b={self.b!r}, elements={self.elements!r})"
-
-    @cached_property
-    def _element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
-    @cached_property
+    @property
     def covers(self) -> tuple[tuple[int, int], ...]:
+        members = set(self.elements)
         return tuple(sorted((p, p - d) for p in self.elements
-                            for d in {self.a, self.b} if p - d in self))
+                            for d in {self.a, self.b} if p - d in members))
 
-    def __contains__(self, p: int) -> bool:
-        return p in self._element_set
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def _closure(self, seeds, step: int) -> set[int]:
-        """Up-closure (step 1) or down-closure (step -1) of the seeds."""
-        seen, stack = set(seeds), list(seeds)
-        while stack:
-            p = stack.pop()
-            for q in (p + step * self.a, p + step * self.b):
-                if q in self and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
+def _closure(poset: GapPoset, seeds, step: int) -> set[int]:
+    """Up-closure (step 1) or down-closure (step -1) of the seeds in `poset`."""
+    members = set(poset.elements)
+    seen, stack = set(seeds), list(seeds)
+    while stack:
+        p = stack.pop()
+        for q in (p + step * poset.a, p + step * poset.b):
+            if q in members and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
 
 
 def gap_count(a: int, b: int) -> int:
@@ -94,15 +67,16 @@ def gap_count(a: int, b: int) -> int:
 
 
 def abacus_runners(a: int, b: int) -> list[tuple[int, int]]:
-    """(t_k, r_k) = divmod(k*b, a) for the runners k = 1 .. a - 1 of
-    Anderson's a-abacus of the gaps of {a, b}.
+    """(t_k, r_k) = divmod(k*b, a) for the nonempty runners
+    k = ceil(a/b) .. a - 1 of Anderson's a-abacus of the gaps of {a, b}.
 
     Runner k holds the t_k gaps r_k + a*i (i < t_k).  An order ideal keeps
     the bottom h_k gaps of every runner, where h_k <= h_{k-1} + t_k - t_{k-1}
     (h_0 = t_0 = 0), because p - b sits t_k - t_{k-1} levels lower on runner
     k - 1; every such height sequence with 0 <= h_k <= t_k is one ideal.
+    The empty runners k < a/b force h_k = 0, so they are left out.
     """
-    return [divmod(k * b, a) for k in range(1, a)]
+    return [divmod(k * b, a) for k in range(-(-a // b), a)]
 
 
 # A few dozen: callers reread recent posets; unbounded, every one would stay.
@@ -122,10 +96,10 @@ def induced_subposet(poset: GapPoset, keep) -> GapPoset:
     are the p - q in {a, b} rule restricted.  Otherwise ValueError.
     """
     keep = tuple(sorted(set(keep)))
-    for p in keep:
-        if p not in poset:
-            raise ElementNotInPosetError(f"{p} is not an element of the ambient poset")
-    between = poset._closure(keep, 1) & poset._closure(keep, -1)
+    outside = set(keep).difference(poset.elements)
+    if outside:
+        raise ElementNotInPosetError(f"{min(outside)} is not an element of the ambient poset")
+    between = _closure(poset, keep, 1) & _closure(poset, keep, -1)
     if len(between) != len(keep):
         raise ValueError(f"not convex: {min(between.difference(keep))} lies "
                          "between kept elements but is not kept")

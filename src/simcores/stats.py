@@ -13,8 +13,8 @@ from .posets import FamilyId, NonCoprimeError, abacus_runners, gap_count
 
 def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
     """Totals over the order ideals of the gap poset of (a, b), for each cap
-    c = 0 .. t_1 on the first runner, in one pass along Anderson's lattice
-    paths.
+    c = 0 .. t_k on the first nonempty runner k, in one pass along
+    Anderson's lattice paths.
 
     An ideal is a height sequence on the runners of `abacus_runners(a, b)`,
     and the level i of a gap r_k + a*i is its layer p // a.  From the last
@@ -23,8 +23,8 @@ def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
     completions from it on, s being their number of members; prefix sums
     over the next runner's heights keep it linear in the number of gaps.
     Entry c is (ideal count, member sum, layer sum, size sum) over the
-    ideals with h_1 <= c, an ideal of s members having size
-    sum(labels) - C(s, 2); the last entry is the whole poset.  With a <= 1
+    ideals with h_k <= c, an ideal of s members having size
+    sum(labels) - C(s, 2); the last entry is the whole poset.  With no gaps
     there are no runners: the one entry is the empty poset's one ideal.
     """
     runners = abacus_runners(a, b)

@@ -15,7 +15,8 @@ from itertools import chain
 
 from simcores.betaset import _validated_descending
 from simcores.partitions import check_partition
-from simcores.posets import FamilyId, family_poset, gap_poset, induced_subposet
+from simcores.posets import (FamilyId, _closure, family_poset, gap_poset,
+                             induced_subposet)
 
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
@@ -127,8 +128,8 @@ def above_prefix_part(poset, i):
         raise ValueError(f"i must be in [1, {len(mins) + 1}], got {i}")
     prefix, rest = mins[:i - 1], mins[i - 1:]
     # p is comparable to a minimal element q exactly when p >= q
-    return induced_subposet(poset, poset._closure(prefix, 1) - set(prefix)
-                            - poset._closure(rest, 1))
+    return induced_subposet(poset, _closure(poset, prefix, 1) - set(prefix)
+                            - _closure(poset, rest, 1))
 
 
 def detached_part(poset, i):
@@ -137,7 +138,7 @@ def detached_part(poset, i):
     if not 1 <= i <= len(mins):
         raise ValueError(f"i must be in [1, {len(mins)}], got {i}")
     return induced_subposet(poset, set(poset.elements)
-                            - poset._closure(mins[:i], 1))
+                            - _closure(poset, mins[:i], 1))
 
 
 def _plain(n):
@@ -181,7 +182,7 @@ def instance(name, *indices):
 def assert_isomorphism(source, target, mapping):
     """`mapping`, a dict, is an order isomorphism from source onto target."""
     images = [mapping.get(p) for p in source.elements]
-    assert len(images) == len(target) and set(images) == set(target.elements), \
+    assert len(images) == len(target.elements) and set(images) == set(target.elements), \
         f"not a bijection onto {target}"
     assert {(mapping[hi], mapping[lo]) for hi, lo in source.covers} \
         == set(target.covers), f"covers not carried onto {target}"

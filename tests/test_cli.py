@@ -602,8 +602,14 @@ def source_env():
     return env
 
 
-def test_cores_worst_admitted_job_stays_under_64_mb():
-    # (2, 4999) is the largest listing both guards admit: 35 MB of JSON.  A
+@pytest.mark.parametrize("job", [
+    ("cores", "--a", "2", "--b", "4999", "--format", "json"),
+    ("cores", "--a", "1000000", "--b", "1", "--format", "json"),
+    ("poset", "--a", "1000000", "--b", "1"),
+], ids=["cores-2-4999", "cores-1000000-1", "poset-1000000-1"])
+def test_cores_worst_admitted_job_stays_under_64_mb(job):
+    # (2, 4999) is the largest listing both guards admit: 35 MB of JSON.
+    # (a, 1) has no gaps at any a, so its work must not grow with a.  A
     # child's max-RSS starts at its spawner's RSS, so a bare interpreter
     # spawns it, not this process.
     spawner = ("import os, sys\n"
@@ -612,8 +618,7 @@ def test_cores_worst_admitted_job_stays_under_64_mb():
                "os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)])\n"
                "_, status, usage = os.wait4(pid, 0)\n"
                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    proc = subprocess.run([sys.executable, "-S", "-c", spawner, "-m", "simcores.cli",
-                           "cores", "--a", "2", "--b", "4999", "--format", "json"],
+    proc = subprocess.run([sys.executable, "-S", "-c", spawner, "-m", "simcores.cli", *job],
                           capture_output=True, text=True, env=source_env(), check=True)
     code, max_rss_kib = map(int, proc.stdout.split())
     assert code == 0

@@ -6,9 +6,10 @@ import pytest
 from oracles import (above_prefix_part, assert_isomorphism, detached_part,
                      instance, minimal_elements)
 from simcores.posets import (ElementNotInPosetError, FamilyId, GapPoset,
-                             InvalidFamilyError, NonCoprimeError, _ideal_masks,
-                             family_poset, gap_count, gap_poset,
-                             induced_subposet, order_ideals, to_dot)
+                             InvalidFamilyError, NonCoprimeError, _closure,
+                             _ideal_masks, abacus_runners, family_poset,
+                             gap_count, gap_poset, induced_subposet,
+                             order_ideals, to_dot)
 from simcores.series import fuss_catalan_series
 
 
@@ -68,7 +69,10 @@ def test_gap_poset_is_an_immutable_value():
     poset = GapPoset(3, 7, gap_poset(3, 7).elements)
     assert poset == gap_poset(3, 7) and hash(poset) == hash(gap_poset(3, 7))
     assert poset != GapPoset(3, 8, poset.elements)
-    assert poset.covers == gap_poset(3, 7).covers   # cached in its dict
+    assert poset.covers == gap_poset(3, 7).covers
+    a, b, elements = poset
+    assert (a, b, elements) == poset == (3, 7, (1, 2, 4, 5, 8, 11))
+    assert poset._replace(b=8) == GapPoset(3, 8, poset.elements)
     with pytest.raises(AttributeError):
         poset.a = 4
     with pytest.raises(AttributeError):
@@ -90,7 +94,7 @@ def test_gap_poset_rejects_noncoprime():
 
 def test_gap_count_formula():
     for a, b in coprime_pairs(24):
-        assert len(gap_poset(a, b)) == gap_count(a, b) == (a - 1) * (b - 1) // 2
+        assert len(gap_poset(a, b).elements) == gap_count(a, b) == (a - 1) * (b - 1) // 2
     assert gap_count(1, 1) == gap_count(1, 9) == 0
     with pytest.raises(NonCoprimeError):
         gap_count(6, 9)
@@ -107,6 +111,10 @@ def test_gap_set_matches_sylvester():
         sylvester = sorted(g for x in range(1, b) for y in range(1, a)
                            if (g := a * b - x * a - y * b) > 0)
         assert list(gap_poset(a, b).elements) == sylvester, (a, b)
+        # only the nonempty runners, so a pair like (121, 1) has none
+        lengths = [t for t, _ in abacus_runners(a, b)]
+        assert min(lengths, default=1) >= 1, (a, b)
+        assert sum(lengths) == len(sylvester), (a, b)
 
 
 def test_order_ideals_examples():
@@ -299,7 +307,7 @@ def _assert_order_matches_oracle(poset):
     assert poset.covers == reduced_covers(poset), (a, b, poset.elements)
     pairs = 0
     for q in poset.elements:
-        above = poset._closure((q,), 1)   # the up-set of q
+        above = _closure(poset, (q,), 1)   # the up-set of q
         for p in poset.elements:
             assert (p in above) == _representable(p - q, a, b), (a, b, q, p)
             pairs += 1
@@ -312,7 +320,7 @@ def test_order_matches_transitive_reduction_oracle():
     for m in range(1, 7):
         for j in range(m):
             n = 0
-            while len(family_poset(FamilyId(m, j, n))) <= 60:
+            while len(family_poset(FamilyId(m, j, n)).elements) <= 60:
                 posets.append(family_poset(FamilyId(m, j, n)))
                 n += 1
     assert len(posets) == 83 + 134

@@ -23,7 +23,7 @@ def brute_stats(family):
     poset = family_poset(family)
     div = family.layer_divisor
     count = members = layers = sizes = 0
-    for r in range(len(poset) + 1):
+    for r in range(len(poset.elements) + 1):
         for sub in combinations(poset.elements, r):
             chosen = set(sub)
             if not all(lo in chosen for hi, lo in poset.covers if hi in chosen):
@@ -42,7 +42,7 @@ def _ideal_totals(poset) -> tuple[int, list[int], int]:
     element index), and the total core size, which is the sum over ideals
     of `sum(members) - C(r, 2)` for an ideal of r members.
     """
-    occupancy = [0] * len(poset)
+    occupancy = [0] * len(poset.elements)
     count = pairs = 0
     for mask in _ideal_masks(poset):
         r = mask.bit_count()
@@ -77,7 +77,7 @@ def test_path_totals_against_enumeration_on_the_guarded_grid():
     for m in range(1, 7):
         for j in range(m):
             n = 0
-            while len(family_poset(FamilyId(m, j, n))) <= 60:
+            while len(family_poset(FamilyId(m, j, n)).elements) <= 60:
                 fid = FamilyId(m, j, n)
                 rec = stats_of(fid)
                 assert (rec.ideal_count, rec.member_sum, rec.layer_sum,
@@ -101,7 +101,8 @@ def test_guard_size_is_family_size(monkeypatch):
     for m in range(1, 7):
         elements = 0
         for n in range(14):
-            layer = sum(len(family_poset(FamilyId(m, j, n))) for j in range(m))
+            layer = sum(len(family_poset(FamilyId(m, j, n)).elements)
+                        for j in range(m))
             assert layer == comb(m * n, 2)
             elements += layer
             args = argparse.Namespace(m=m, max_n=n, unsafe_limits=False)
@@ -163,7 +164,7 @@ def test_plain_poset_is_truncation_m():
             whole = gap_poset(n + 1, m * (n + 1) + 1)
             top = induced_subposet(
                 whole, [p for p in whole.elements if p // (n + 1) >= m])
-            assert len(top) == (n - 1) * m * n // 2
+            assert len(top.elements) == (n - 1) * m * n // 2
             count, occupancy, size_total = _ideal_totals(top)
             layer_total = sum(k * (e // (n + 1))
                               for k, e in zip(occupancy, top.elements))
