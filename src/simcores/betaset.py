@@ -6,7 +6,6 @@ exactly the order ideals, and the partition size can be read off a set
 without decoding it.
 """
 
-from collections import defaultdict
 from collections.abc import Iterable
 from heapq import heappop, heappush
 
@@ -58,12 +57,14 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
     gaps: its child by g keeps the bits above g and adds the up-covers of g
     whose other lower cover is in the ideal or is no gap.
 
-    So class s is, for p descending, the children with part p of class
-    s - p, in that class's order.  Sizes are taken in ascending order from
-    a heap; every parent is smaller than its child, so a class is complete
-    when it is taken.  Each child costs one string concatenation and a few
-    bit operations, and the loop keeps no stack, so no depth can exhaust
-    the recursion limit.
+    Sizes are taken in ascending order from a heap; every parent is smaller
+    than its child, so a class is complete when it is taken.  A child is
+    appended to its class as it is made, so class S gets the children of
+    class S - p for p descending, each in that class's order, and a parent
+    has at most one child per part, its gaps being distinct: every class
+    is canonical as built.  Each child costs one string concatenation and
+    a few bit operations, and the loop keeps no stack, so no depth can
+    exhaust the recursion limit.
     """
     gaps = gap_poset(a, b).elements
     bit = {gap: 1 << i for i, gap in enumerate(gaps)}
@@ -77,16 +78,14 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
     # largest part and contains every other core (Vandehey)
     digits = list(map(str, range(len(gaps) + 1)))
     words = [f"{part} " for part in digits]
-    # size -> part -> the children of that largest part, each a tuple
+    # size -> the cores of that size, each a tuple
     # (text, ideal, extension mask, count, kept-gap sum)
-    pending = defaultdict(dict, {0: {0: [("", 0, minimal, 0, 0)]}})
+    pending = {0: [("", 0, minimal, 0, 0)]}
     sizes = [0]
     classes = []
     while sizes:
         size = heappop(sizes)
-        by_part = pending.pop(size)
-        cls = [core for part in sorted(by_part, reverse=True) for core in by_part[part]]
-        born = defaultdict(list)
+        cls = pending.pop(size)
         for text, ideal, ext, count, total in cls:
             while ext:   # lowest gap first, so ext keeps only gaps above it
                 low = ext & -ext
@@ -101,12 +100,12 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
                     grown |= up_a
                 if child & other_b == other_b:
                     grown |= up_b
-                born[part].append((words[part] + text if count else digits[part],
-                                   child, grown, count + 1, total + gap))
-        for part, children in born.items():
-            if size + part not in pending:
-                heappush(sizes, size + part)
-            pending[size + part][part] = children
+                if size + part not in pending:
+                    pending[size + part] = []
+                    heappush(sizes, size + part)
+                pending[size + part].append(
+                    (words[part] + text if count else digits[part],
+                     child, grown, count + 1, total + gap))
         classes.append((size, [core[0] for core in cls],
                         [total - count * (count - 1) // 2
                          for _, _, _, count, total in cls]))

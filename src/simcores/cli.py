@@ -111,19 +111,14 @@ def _cmd_cores(args):
     if args.format == "json":
         import json
         # json.dumps(payload, indent=2), written class by class: a core is
-        # "[\n      p,\n      q\n    ]", and the empty one, of size 0, "[]"
+        # "[\n      p,\n      q\n    ]"; class 0 is the root "[]" alone
         head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
-        write(head[:-2] + ',\n  "cores": [\n    ')
-        for i, (size, texts, _) in enumerate(classes):
-            if i:
-                write(",\n    ")
-            if size:
-                write("[\n      " + "]".join(texts).replace(" ", ",\n      ")
-                      .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
-            else:
-                write(",\n    ".join(["[]"] * len(texts)))
+        write(head[:-2] + ',\n  "cores": [\n    []')
+        for _, texts, _ in classes[1:]:
+            write(",\n    [\n      " + "]".join(texts).replace(" ", ",\n      ")
+                  .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
         write("\n  ]\n}\n")
     elif args.format == "csv":
         # CSV by hand, here and in `_report`: no field holds a comma, a

@@ -241,14 +241,12 @@ def test_series_verify_output_is_pinned(capsys, m, order, fmt):
 
 
 # Exit code, length and SHA-256 of every job the benchmark gates, as
-# recorded in bench/baseline.json; the `cores` listings are left to the
-# benchmark itself, being the slow ones.
+# recorded in bench/baseline.json.
 BENCH_BASELINE = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "baseline.json").read_text())
 
 
-@pytest.mark.parametrize("job", [k for k in BENCH_BASELINE
-                                 if not k.startswith("cores ")])
+@pytest.mark.parametrize("job", list(BENCH_BASELINE))
 def test_gated_stdout_matches_bench_baseline(capsys, monkeypatch, job):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps --help to it
     try:
