@@ -15,7 +15,8 @@ from collections import namedtuple
 from math import comb
 from operator import index
 
-from .stats import as_truncation_m, compute_stats, core_count, recursion_rhs
+from .stats import (_theta, as_truncation_m, compute_stats, core_count,
+                    recursion_rhs)
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -39,56 +40,35 @@ def _whole(num: int, den: int) -> int:
     return q
 
 
-class TruncatedSeries:
-    """The integer coefficients of x**0 ... x**order, a tuple.  Immutable,
-    equal and hashed by its coefficients."""
+class TruncatedSeries(tuple):
+    """The integer coefficients of x**0 ... x**order, as a tuple: it equals
+    and hashes as the plain tuple of its coefficients, `len` is order + 1
+    and a slice is a plain tuple."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    __slots__ = ()
 
     def __repr__(self):
-        return f"TruncatedSeries(coeffs={self.coeffs!r})"
+        return f"TruncatedSeries({tuple(self)!r})"
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient of x^{k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return len(self) - 1
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[:order + 1])
+        return TruncatedSeries(self[:order + 1])
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x**k; the trusted order grows by k."""
         if k < 0:
             raise ValueError(f"cannot shift by x**{k}")
-        return TruncatedSeries((0,) * k + self.coeffs)
+        return TruncatedSeries((0,) * k + tuple(self))
 
     def derivative(self) -> "TruncatedSeries":
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
-        return TruncatedSeries(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        return TruncatedSeries(_theta(self)[1:])
 
     def _coerced(self, other):
         if isinstance(other, TruncatedSeries):
@@ -98,15 +78,13 @@ class TruncatedSeries:
         return None
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return TruncatedSeries(-c for c in self)
 
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(a + b for a, b in
-                                     zip(self.coeffs[:n + 1], other.coeffs[:n + 1])))
+        return TruncatedSeries(a + b for a, b in zip(self, other))
 
     __radd__ = __add__
 
@@ -121,18 +99,18 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(tuple(c * other for c in self.coeffs))
+            return TruncatedSeries(c * other for c in self)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, b = tuple(self), tuple(other)   # subscripts specialise on exact tuples
         out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
             if ai:
                 for j in range(n + 1 - i):
                     out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(out)
 
     __rmul__ = __mul__
 
@@ -140,19 +118,18 @@ class TruncatedSeries:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        inv0 = other.coeffs[0]   # 1 and -1, the units of Z, are their own inverses
+        inv0 = other[0]   # 1 and -1, the units of Z, are their own inverses
         if inv0 not in (1, -1):
             raise DivisionByNonUnitError(
                 f"divisor has constant term {inv0}, not 1 or -1")
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for k in range(n + 1):
+        a, b = tuple(self), tuple(other)   # subscripts specialise on exact tuples
+        out = []
+        for k in range(min(len(a), len(b))):
             acc = a[k]
             for i in range(1, k + 1):
                 acc -= b[i] * out[k - i]
-            out[k] = acc * inv0
-        return TruncatedSeries(tuple(out))
+            out.append(acc * inv0)
+        return TruncatedSeries(out)
 
     def __pow__(self, e: int):
         """Repeated squaring: the public operator, and the independent oracle
@@ -166,13 +143,13 @@ class TruncatedSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self)
 
     def max_abs(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
+        return max(map(abs, self))
 
     def first_nonzero(self) -> int | None:
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self):
             if c:
                 return k
         return None

@@ -122,7 +122,7 @@ class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):
 def _theta(f):
     """x * d/dx of a series: coefficient n times n, at f's own order (order
     0 too, where `derivative` refuses)."""
-    return type(f)(tuple(n * c for n, c in enumerate(f.coeffs)))
+    return type(f)(n * c for n, c in enumerate(f))
 
 
 def as_truncation_m(m, a, t, r, g):

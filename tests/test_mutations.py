@@ -1,24 +1,36 @@
-"""Mutation sweep of the listing walk, `betaset.cores_by_size`.
+"""Mutation sweeps of the listing walk, `betaset.cores_by_size`, and of the
+series kernel, the methods of `series.TruncatedSeries`.
 
-Each `+` or `-` of the walk is flipped, and each int literal is raised by
-1, one at a time.  Every such mutant must raise, run out of time, or change
-the exit code or stdout of some `cores` job; the ones that cannot are
-listed in EQUIVALENT with the reason.
+Each `+` or `-` is flipped, and each int literal is raised by 1, one at a
+time.  Every such mutant must raise, run out of time, or change the outcome
+of some job: the exit code and stdout of a CLI run, or the value or error
+of a direct kernel probe.  The mutants that cannot are listed in
+EQUIVALENT with the reason.
 """
 
 import ast
 import contextlib
 import io
 import signal
+from functools import partial
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
-from simcores import betaset, cli
+from simcores import betaset, cli, series
 
-JOBS = [("cores", "--a", str(a), "--b", str(b), "--format", fmt)
-        for a, b in [(3, 7), (4, 9), (5, 7), (7, 4), (2, 9)]
-        for fmt in ("plain", "json", "csv")]
+
+def _run(*job):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(job))
+    return code, out.getvalue()
+
+
+WALK_JOBS = [partial(_run, "cores", "--a", str(a), "--b", str(b), "--format", fmt)
+             for a, b in [(3, 7), (4, 9), (5, 7), (7, 4), (2, 9)]
+             for fmt in ("plain", "json", "csv")]
 
 # mutant -> why it prints the same listing as the walk
 EQUIVALENT = {
@@ -26,70 +38,111 @@ EQUIVALENT = {
         "the digits table only grows; no part exceeds the gap count",
 }
 
+
+def _probe(compute):
+    """The repr of a kernel result, or the error it is refused with."""
+    try:
+        return repr(compute())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_f = series.series([2, -3, 5, 7, -1])
+_g = series.series([1, 4, -2, 6, 3])
+
+# The ledger divides only numerators of valuation >= 2 by series of constant
+# term 1, and raises no power but 2 and 3, so the CLI jobs alone would leave
+# kernel mutants alive.
+KERNEL_PROBES = [partial(_probe, compute) for compute in (
+    lambda: _f / _g,
+    lambda: _f / -_g,
+    lambda: 1 - _f,
+    lambda: _f / 3,
+    lambda: _f.truncate(0),
+    lambda: _f.shift(0),
+    lambda: _f.shift(-1),
+    lambda: _f.truncate(0).derivative(),
+    lambda: _f.truncate(1).derivative(),
+    lambda: _f ** 0,
+    lambda: _f ** 1,
+    lambda: _f ** 3,
+    lambda: _f.max_abs(),
+    lambda: _f.shift(2).first_nonzero(),
+)]
+
+KERNEL_CLI_JOBS = [
+    *(partial(_run, "series-verify", "--m", m, "--order", "12") for m in "123"),
+    partial(_run, "cross-check", "--m", "3", "--max-n", "6"),
+    partial(_run, "recursions", "--m", "3", "--max-n", "6"),
+]
+
 MUTANT_SECONDS = 5   # the unmutated jobs take a few hundredths of a second
 
 
-def _walk():
-    tree = ast.parse(Path(betaset.__file__).read_text())
-    return next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == "cores_by_size")
+def _parsed(module, name):
+    """The top-level function or class `name` of `module`, parsed afresh."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return next(node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
 
 
-def _sites(walk):
-    """The walk's `+`/`-` operators and int literals, in a fixed order."""
-    return [node for node in ast.walk(walk)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
-            or isinstance(node, ast.Constant) and type(node.value) is int]
+def _sites(node):
+    """The `+`/`-` operators and int literals under `node`, in a fixed order."""
+    return [site for site in ast.walk(node)
+            if isinstance(site, ast.BinOp) and isinstance(site.op, (ast.Add, ast.Sub))
+            or isinstance(site, ast.Constant) and type(site.value) is int]
 
 
-def _compiled(walk):
-    namespace = dict(vars(betaset))
-    exec(compile(ast.Module([walk], []), betaset.__file__, "exec"), namespace)
-    return namespace["cores_by_size"]
+def _compiled(module, node):
+    """`node` compiled in a copy of the namespace of `module`.  The name
+    then points back at the module's own object: a compiled class lends its
+    methods to the real class, whose instances they must make and accept."""
+    namespace = dict(vars(module))
+    exec(compile(ast.Module([node], []), module.__file__, "exec"), namespace)
+    compiled = namespace[node.name]
+    namespace[node.name] = vars(module)[node.name]
+    return compiled
 
 
-def _mutants():
+def _mutants(module, name):
     """(label, mutant) per site; a label is the changed expression before
-    and after, numbered from its second occurrence on."""
+    and after, behind the name of its method in a class, numbered from its
+    second occurrence on."""
     seen = {}
-    for k in range(len(_sites(_walk()))):
-        walk = _walk()
-        site = _sites(walk)[k]
+    for k in range(len(_sites(_parsed(module, name)))):
+        node = _parsed(module, name)
+        site = _sites(node)[k]
         shown = site
         if isinstance(site, ast.Constant):   # a literal is shown in context
-            shown = next(node for node in ast.walk(walk)
-                         if site in ast.iter_child_nodes(node))
+            shown = next(parent for parent in ast.walk(node)
+                         if site in ast.iter_child_nodes(parent))
         before = ast.unparse(shown)
         if isinstance(site, ast.BinOp):
             site.op = ast.Sub() if isinstance(site.op, ast.Add) else ast.Add()
         else:
             site.value += 1
         label = f"{before} -> {ast.unparse(shown)}"
+        if isinstance(node, ast.ClassDef):
+            label = next(f"{method.name}: " for method in node.body
+                         if site in ast.walk(method)) + label
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label += f" ({seen[label]})"
-        yield label, _compiled(walk)
-
-
-def _run(job):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(job))
-    return code, out.getvalue()
+        yield label, _compiled(module, node)
 
 
 def _time_out(signum, frame):
     raise TimeoutError
 
 
-def _survives(monkeypatch, walk, reference):
-    """Whether every job exits and prints as it does with the walk, within
+def _survives(reference):
+    """Whether every job gives the outcome it gives unmutated, within
     MUTANT_SECONDS; a raise or a timeout kills."""
-    monkeypatch.setattr(betaset, "cores_by_size", walk)
     previous = signal.signal(signal.SIGALRM, _time_out)
     signal.setitimer(signal.ITIMER_REAL, MUTANT_SECONDS)
     try:
-        return all(_run(job) == want for job, want in reference.items())
+        return all(job() == want for job, want in reference.items())
     except Exception:
         return False
     finally:
@@ -97,19 +150,50 @@ def _survives(monkeypatch, walk, reference):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _walk_survives(monkeypatch, reference, walk):
+    monkeypatch.setattr(betaset, "cores_by_size", walk)
+    return _survives(reference)
+
+
+def _kernel_survives(monkeypatch, reference, cls):
+    for name, member in vars(cls).items():
+        if isinstance(member, (FunctionType, property)):
+            monkeypatch.setattr(series.TruncatedSeries, name, member)
+    return _survives(reference)
+
+
 @pytest.fixture(scope="module")
-def reference():
-    return {job: _run(job) for job in JOBS}
+def walk_reference():
+    return {job: job() for job in WALK_JOBS}
 
 
-def test_the_recompiled_walk_survives(monkeypatch, reference):
+@pytest.fixture(scope="module")
+def kernel_reference():
+    return {job: job() for job in KERNEL_CLI_JOBS + KERNEL_PROBES}
+
+
+def test_the_recompiled_walk_survives(monkeypatch, walk_reference):
     # so a kill below is the mutation's, not the recompiling's
-    assert all(code == 0 for code, _ in reference.values())
-    assert _survives(monkeypatch, _compiled(_walk()), reference)
+    assert all(code == 0 for code, _ in walk_reference.values())
+    walk = _compiled(betaset, _parsed(betaset, "cores_by_size"))
+    assert _walk_survives(monkeypatch, walk_reference, walk)
 
 
-def test_every_mutant_of_the_walk_is_killed_or_listed(monkeypatch, reference):
-    mutants = dict(_mutants())
+def test_every_mutant_of_the_walk_is_killed_or_listed(monkeypatch, walk_reference):
+    mutants = dict(_mutants(betaset, "cores_by_size"))
     assert len(mutants) >= 30
     assert {label for label, walk in mutants.items()
-            if _survives(monkeypatch, walk, reference)} == set(EQUIVALENT)
+            if _walk_survives(monkeypatch, walk_reference, walk)} == set(EQUIVALENT)
+
+
+def test_the_recompiled_kernel_survives(monkeypatch, kernel_reference):
+    assert all(kernel_reference[job][0] == 0 for job in KERNEL_CLI_JOBS)
+    kernel = _compiled(series, _parsed(series, "TruncatedSeries"))
+    assert _kernel_survives(monkeypatch, kernel_reference, kernel)
+
+
+def test_every_mutant_of_the_kernel_is_killed(monkeypatch, kernel_reference):
+    mutants = dict(_mutants(series, "TruncatedSeries"))
+    assert len(mutants) >= 30
+    assert {label for label, cls in mutants.items()
+            if _kernel_survives(monkeypatch, kernel_reference, cls)} == set()

@@ -32,7 +32,7 @@ def test_series_is_an_immutable_value():
         f.coeffs = (0,)
     with pytest.raises(AttributeError):
         del f.coeffs
-    assert repr(f) == "TruncatedSeries(coeffs=(1, 2, -7))"
+    assert repr(f) == "TruncatedSeries((1, 2, -7))"
 
 
 def test_constructors_reject_floats():
@@ -43,8 +43,8 @@ def test_constructors_reject_floats():
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             constant(bad, 3)
     whole = series([2, -3, True])
-    assert whole.coeffs == (2, -3, 1)
-    assert all(type(c) is int for c in whole.coeffs)
+    assert whole == (2, -3, 1)
+    assert all(type(c) is int for c in whole)
 
 
 def test_constructors_reject_negative_order():
@@ -244,7 +244,7 @@ def test_stat_series_coefficients_are_ints(m):
     # and every rational scalar of the formulas is whole
     b = stat_series(m, 24)
     built = [*b.powers, *b.member, *b.layer, *b.size]
-    assert all(type(c) is int for f in built for c in f.coeffs)
+    assert all(type(c) is int for f in built for c in f)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -425,3 +425,12 @@ def test_truncated_series_value_semantics():
     f = series([1, 2, 3])
     assert f == TruncatedSeries((1, 2, 3))
     assert f != f.truncate(1)
+    # the series is the tuple of its coefficients
+    assert list(f) == [1, 2, 3] and len(f) == f.order + 1 and f[-1] == 3
+    assert f == (1, 2, 3) and hash(f) == hash((1, 2, 3))
+    # a tuple slice is a plain tuple: every operation wraps its result
+    g = series([1, -1, 4])
+    results = [f.truncate(1), f.shift(2), f.derivative(), _theta(f), -f,
+               f + g, f + 1, 1 + f, f - g, f - 1, 1 - f, f * 3, 3 * f, f * g,
+               f / g, f / -1, f ** 0, f ** 1, f ** 3]
+    assert all(type(r) is TruncatedSeries for r in results)
