@@ -43,7 +43,9 @@ def _whole(num: int, den: int) -> int:
 class TruncatedSeries(tuple):
     """The integer coefficients of x**0 ... x**order, as a tuple: it equals
     and hashes as the plain tuple of its coefficients, `len` is order + 1
-    and a slice is a plain tuple."""
+    and a slice is a plain tuple.  The raw constructor checks nothing (it
+    takes floats, and `()` has order -1): `series()` and `constant()` are
+    the checked constructors."""
 
     __slots__ = ()
 
@@ -53,11 +55,6 @@ class TruncatedSeries(tuple):
     @property
     def order(self) -> int:
         return len(self) - 1
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return TruncatedSeries(self[:order + 1])
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x**k; the trusted order grows by k."""
@@ -141,28 +138,11 @@ class TruncatedSeries(tuple):
         half = self ** (e // 2)
         return half * half * self if e & 1 else half * half
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self)
 
-    def max_abs(self) -> int:
-        return max(map(abs, self))
-
-    def first_nonzero(self) -> int | None:
-        for k, c in enumerate(self):
-            if c:
-                return k
-        return None
-
-
-def series(values, order: int | None = None) -> TruncatedSeries:
-    """Build a series from coefficients, zero-padded or cut to `order`."""
-    coeffs = [index(v) for v in values]
-    if order is not None:
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        coeffs = (coeffs + [0] * (order + 1 - len(coeffs)))[:order + 1]
-    return TruncatedSeries(tuple(coeffs) or (0,))
+def series(values) -> TruncatedSeries:
+    """The series with these coefficients, each an `int` (`operator.index`);
+    no coefficients give the zero series of order 0."""
+    return TruncatedSeries(tuple(map(index, values)) or (0,))
 
 
 def constant(value, order: int) -> TruncatedSeries:
@@ -187,7 +167,7 @@ def fuss_catalan_series(m: int, order: int) -> TruncatedSeries:
 
 
 class SeriesBundle(namedtuple("SeriesBundle",
-                              "m powers count member layer size denom")):
+                              "powers count member layer size denom")):
     """Generating functions of the four ideal statistics at one slope m.
 
     `powers` holds F**0 ... F**(2m+2), built once by successive products.
@@ -229,11 +209,11 @@ def stat_series(m: int, order: int) -> SeriesBundle:
                 S[j] = recursion_rhs(stat, j, A, T, R, G)
             if solve:
                 S[0] = recursion_rhs(stat, 0, A, T, R, G) / denom
-    return SeriesBundle(m, tuple(P), A, tuple(T), tuple(R), tuple(G), denom)
+    return SeriesBundle(tuple(P), A, tuple(T), tuple(R), tuple(G), denom)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "identity m effective_order "
-                               "residual_max_abs first_nonzero passed kind")):
+                               "residual_max_abs passed kind")):
     """Outcome of one ledger entry.
 
     `kind` is "derived" when a residual was evaluated, and "definitional"
@@ -278,13 +258,13 @@ def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
     out: list[IdentityCheck] = []
 
     def add(name, residual):
-        nz = residual.first_nonzero()
-        out.append(IdentityCheck(name, m, residual.order, residual.max_abs(),
-                                 nz, nz is None, "derived"))
+        worst = max(map(abs, residual))
+        out.append(IdentityCheck(name, m, residual.order, worst,
+                                 worst == 0, "derived"))
 
     def built(name, defined):
         out.append(IdentityCheck(name, m, defined.order, 0,
-                                 None, True, "definitional"))
+                                 True, "definitional"))
 
     add("defining-equation", P[m + 1].shift(1) - F + 1)
     built("closed-form-count", F)

@@ -1,11 +1,12 @@
-"""Mutation sweeps of the listing walk, `betaset.cores_by_size`, and of the
-series kernel, the methods of `series.TruncatedSeries`.
+"""Mutation sweeps of the listing walk, `betaset.cores_by_size`, of the
+series kernel, the methods of `series.TruncatedSeries`, and of the ledger's
+functions, from the lattice-path totals to the statistic series.
 
 Each `+` or `-` is flipped, and each int literal is raised by 1, one at a
 time.  Every such mutant must raise, run out of time, or change the outcome
 of some job: the exit code and stdout of a CLI run, or the value or error
-of a direct kernel probe.  The mutants that cannot are listed in
-EQUIVALENT with the reason.
+of a direct probe.  The mutants that cannot are listed in EQUIVALENT, by
+function and mutation, with the reason.
 """
 
 import ast
@@ -18,7 +19,7 @@ from types import FunctionType
 
 import pytest
 
-from simcores import betaset, cli, series
+from simcores import betaset, cli, series, stats
 
 
 def _run(*job):
@@ -32,15 +33,24 @@ WALK_JOBS = [partial(_run, "cores", "--a", str(a), "--b", str(b), "--format", fm
              for a, b in [(3, 7), (4, 9), (5, 7), (7, 4), (2, 9)]
              for fmt in ("plain", "json", "csv")]
 
-# mutant -> why it prints the same listing as the walk
+# (function, mutant) -> why every job gives the outcome it gives unmutated
 EQUIVALENT = {
-    "len(gaps) + 1 -> len(gaps) + 2":
+    ("cores_by_size", "len(gaps) + 1 -> len(gaps) + 2"):
         "the digits table only grows; no part exceeds the gap count",
+    ("compute_stats", "maxsize=8 -> maxsize=9"):
+        "a CLI job reads one grid; a larger cache differs only in memory",
+    ("compute_stats", "n_max + 2 -> n_max + 3"):
+        "the extra pass, index n_max + 2, is never read: a family's "
+        "layer_divisor is at most n + 1 <= n_max + 1",
 }
 
 
+def _listed(name):
+    return {label for function, label in EQUIVALENT if function == name}
+
+
 def _probe(compute):
-    """The repr of a kernel result, or the error it is refused with."""
+    """The repr of a result, or the error it is refused with."""
     try:
         return repr(compute())
     except (ArithmeticError, ValueError) as exc:
@@ -58,16 +68,13 @@ KERNEL_PROBES = [partial(_probe, compute) for compute in (
     lambda: _f / -_g,
     lambda: 1 - _f,
     lambda: _f / 3,
-    lambda: _f.truncate(0),
     lambda: _f.shift(0),
     lambda: _f.shift(-1),
-    lambda: _f.truncate(0).derivative(),
-    lambda: _f.truncate(1).derivative(),
+    lambda: series.series(_f[:1]).derivative(),
+    lambda: series.series(_f[:2]).derivative(),
     lambda: _f ** 0,
     lambda: _f ** 1,
     lambda: _f ** 3,
-    lambda: _f.max_abs(),
-    lambda: _f.shift(2).first_nonzero(),
 )]
 
 KERNEL_CLI_JOBS = [
@@ -75,6 +82,41 @@ KERNEL_CLI_JOBS = [
     partial(_run, "cross-check", "--m", "3", "--max-n", "6"),
     partial(_run, "recursions", "--m", "3", "--max-n", "6"),
 ]
+
+
+def _cold(job):
+    """`job` run with the grid cache empty, and left empty: a grid cached
+    unmutated would hide a mutant of `_path_totals`, and one cached by the
+    mutant would outlive it."""
+    stats.compute_stats.cache_clear()
+    try:
+        return job()
+    finally:
+        stats.compute_stats.cache_clear()
+
+
+# where each swept ledger function is defined; `series` imports the `stats`
+# ones it calls by name, and each mutant is patched into both modules
+LEDGER = {"_path_totals": stats, "compute_stats": stats,
+          "as_truncation_m": stats, "recursion_rhs": stats,
+          "stat_series": series, "fuss_catalan_number": series}
+
+# No CLI job reads the length of the totals of a pair with no runners, runs
+# the empty grid or sees the bundle whole, so the probes do.
+LEDGER_CLI_JOBS = [partial(_cold, partial(_run, *job)) for job in (
+    *(("series-verify", "--m", m, "--order", "12") for m in "1236"),
+    *((command, "--m", m, "--max-n", n)
+      for command in ("cross-check", "recursions", "stats")
+      for m, n in (("1", "8"), ("2", "6"), ("3", "5"))),
+    *(("cores", "--a", str(a), "--b", str(b))
+      for a, b in [(3, 7), (5, 8), (7, 4), (2, 9), (1, 5)]),
+)]
+
+LEDGER_PROBES = [partial(_cold, partial(_probe, compute)) for compute in (
+    lambda: stats._path_totals(0, 1),
+    lambda: stats.compute_stats(1, 0),
+    lambda: series.stat_series(2, 6),
+)]
 
 MUTANT_SECONDS = 5   # the unmutated jobs take a few hundredths of a second
 
@@ -162,6 +204,14 @@ def _kernel_survives(monkeypatch, reference, cls):
     return _survives(reference)
 
 
+def _ledger_survives(monkeypatch, reference, name, function):
+    with monkeypatch.context() as patch:
+        for module in (stats, series):
+            if name in vars(module):
+                patch.setattr(module, name, function)
+        return _survives(reference)
+
+
 @pytest.fixture(scope="module")
 def walk_reference():
     return {job: job() for job in WALK_JOBS}
@@ -170,6 +220,11 @@ def walk_reference():
 @pytest.fixture(scope="module")
 def kernel_reference():
     return {job: job() for job in KERNEL_CLI_JOBS + KERNEL_PROBES}
+
+
+@pytest.fixture(scope="module")
+def ledger_reference():
+    return {job: job() for job in LEDGER_CLI_JOBS + LEDGER_PROBES}
 
 
 def test_the_recompiled_walk_survives(monkeypatch, walk_reference):
@@ -183,7 +238,7 @@ def test_every_mutant_of_the_walk_is_killed_or_listed(monkeypatch, walk_referenc
     mutants = dict(_mutants(betaset, "cores_by_size"))
     assert len(mutants) >= 30
     assert {label for label, walk in mutants.items()
-            if _walk_survives(monkeypatch, walk_reference, walk)} == set(EQUIVALENT)
+            if _walk_survives(monkeypatch, walk_reference, walk)} == _listed("cores_by_size")
 
 
 def test_the_recompiled_kernel_survives(monkeypatch, kernel_reference):
@@ -197,3 +252,22 @@ def test_every_mutant_of_the_kernel_is_killed(monkeypatch, kernel_reference):
     assert len(mutants) >= 30
     assert {label for label, cls in mutants.items()
             if _kernel_survives(monkeypatch, kernel_reference, cls)} == set()
+
+
+def test_the_recompiled_ledger_survives(monkeypatch, ledger_reference):
+    assert all(ledger_reference[job][0] == 0 for job in LEDGER_CLI_JOBS)
+    for name, module in LEDGER.items():
+        function = _compiled(module, _parsed(module, name))
+        assert _ledger_survives(monkeypatch, ledger_reference, name, function), name
+
+
+def test_every_mutant_of_the_ledger_is_killed_or_listed(monkeypatch, ledger_reference):
+    swept, survivors = {}, {}
+    for name, module in LEDGER.items():
+        mutants = dict(_mutants(module, name))
+        swept[name] = len(mutants)
+        survivors[name] = {label for label, function in mutants.items()
+                           if _ledger_survives(monkeypatch, ledger_reference,
+                                               name, function)}
+    assert sum(swept.values()) >= 100
+    assert survivors == {name: _listed(name) for name in LEDGER}

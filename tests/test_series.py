@@ -20,7 +20,7 @@ def coeffs(f, upto=None):
 
 
 def test_mul_example():
-    f = series([1, 1], order=3) * series([1, -1], order=3)
+    f = series([1, 1, 0, 0]) * series([1, -1, 0, 0])
     assert f == series([1, 0, -1, 0])
 
 
@@ -49,10 +49,7 @@ def test_constructors_reject_floats():
 
 def test_constructors_reject_negative_order():
     with pytest.raises(ValueError, match="order must be >= 0"):
-        series([1, 2, 3], -1)
-    with pytest.raises(ValueError, match="order must be >= 0"):
         constant(5, -1)
-    assert series([1, 2, 3], 0) == constant(1, 0)
     assert series([]) == constant(0, 0)
 
 
@@ -62,16 +59,16 @@ def test_derivative_example():
 
 
 def test_geometric_division():
-    f = constant(1, 3) / series([1, -1], order=3)
+    f = constant(1, 3) / series([1, -1, 0, 0])
     assert f == series([1, 1, 1, 1])
 
 
 def test_division_by_nonunit():
     with pytest.raises(DivisionByNonUnitError, match="constant term 0"):
-        constant(1, 3) / series([0, 1], order=3)
+        constant(1, 3) / series([0, 1, 0, 0])
     # 2 is no unit of the integer series ring: 1/(2 - x) is not integral
     with pytest.raises(DivisionByNonUnitError, match="constant term 2"):
-        constant(1, 3) / series([2, -1], order=3)
+        constant(1, 3) / series([2, -1, 0, 0])
     with pytest.raises(DivisionByNonUnitError, match="constant term 2"):
         series([2, 4, 6]) / 2
     # -1 is its own inverse, and the quotient is exact
@@ -82,22 +79,18 @@ def test_division_by_nonunit():
 
 
 def test_pow_shift_truncate():
-    f = series([1, 2], order=4)
+    f = series([1, 2, 0, 0, 0])
     assert f ** 0 == constant(1, 4)
     assert f ** 3 == series([1, 6, 12, 8, 0])
     assert f.shift(2).order == 6
     assert f.shift(2)[2] == 1
-    assert f.truncate(1) == series([1, 2])
-    with pytest.raises(ValueError):
-        f.truncate(9)
+    assert f[:2] == series([1, 2])
     with pytest.raises(IndexError):
         f[5]
     g = series([1, 2, 3, 4, 5, 6])
-    assert g ** 1 == g and g.truncate(0) == series([1])
-    for bad in (lambda: g.shift(-2), lambda: g.truncate(-3),
-                lambda: g.truncate(-1)):
-        with pytest.raises(ValueError):
-            bad()
+    assert g ** 1 == g and g[:1] == series([1])
+    with pytest.raises(ValueError):
+        g.shift(-2)
 
 
 def test_arithmetic_truncates_to_shorter():
@@ -125,9 +118,8 @@ def test_scalar_operations():
 @given(st.lists(small_ints, min_size=3, max_size=7),
        st.lists(small_ints, min_size=3, max_size=7))
 def test_product_rule(fa, ga):
-    f, g = series(fa), series(ga)
-    n = min(f.order, g.order)
-    f, g = f.truncate(n), g.truncate(n)
+    n = min(len(fa), len(ga))
+    f, g = series(fa[:n]), series(ga[:n])
     lhs = (f * g).derivative()
     rhs = f.derivative() * g + f * g.derivative()
     assert lhs == rhs
@@ -153,13 +145,13 @@ def test_defining_equation_residual_zero(m, order):
     # independent oracle that it is the fixed point of 1 + x*F**(m+1)
     f = fuss_catalan_series(m, order)
     residual = (f ** (m + 1)).shift(1) - f + 1
-    assert residual.is_zero
+    assert not any(residual)
 
 
 def test_fixed_point_idempotent():
     for m in (1, 2, 4):
         f = fuss_catalan_series(m, 10)
-        again = ((f ** (m + 1)).shift(1) + 1).truncate(10)
+        again = ((f ** (m + 1)).shift(1) + 1)[:11]
         assert again == f
 
 
@@ -221,7 +213,8 @@ def test_integrality_guard():
 def test_ledger_and_cross_check_report_plain_ints(m):
     # the reports carry the series' own ints, with no conversion on the way
     checks = check_identities(m, 12)
-    assert all(type(c.residual_max_abs) is int for c in checks)
+    assert all(type(c.residual_max_abs) is int
+               and c.passed == (c.residual_max_abs == 0) for c in checks)
     rows = cross_check(m, 5)
     assert rows and all(type(r.series_value) is int for r in rows)
 
@@ -316,7 +309,8 @@ def _add_x_squared(monkeypatch, stat0, j0):
 
     def faulty(stat, j, A, T, R, G):
         rhs = real(stat, j, A, T, R, G)
-        return rhs + series([0, 0, 1], rhs.order) if (stat, j) == (stat0, j0) else rhs
+        x2 = series([0, 0, 1] + [0] * (rhs.order - 2))
+        return rhs + x2 if (stat, j) == (stat0, j0) else rhs
 
     monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
 
@@ -327,7 +321,7 @@ def test_a_fault_in_size_one_fails_the_size_bottom_and_cross_check(monkeypatch):
 
     def faulty(m, order):
         b = real(m, order)
-        g1 = b.size[1] + series([0, 0, 1], order)
+        g1 = b.size[1] + series([0, 0, 1] + [0] * (order - 2))
         return b._replace(size=(b.size[0], g1, *b.size[2:]))
 
     with monkeypatch.context() as patch:
@@ -401,13 +395,6 @@ def test_identity_ledger_kinds(m):
         assert (len(definitional), len(checks)) == counts[m]
 
 
-def test_failed_identity_reports_first_nonzero():
-    residual = series([0, 0, -1, 2, -3])
-    assert residual.first_nonzero() == 2
-    assert residual.max_abs() == 3
-    assert series([0, 0]).first_nonzero() is None and series([0, 0]).max_abs() == 0
-
-
 def test_cross_check_matches_enumeration_and_totals():
     rows = cross_check(2, 3)
     assert all(r.passed for r in rows)
@@ -424,13 +411,13 @@ def test_cross_check_single_slice():
 def test_truncated_series_value_semantics():
     f = series([1, 2, 3])
     assert f == TruncatedSeries((1, 2, 3))
-    assert f != f.truncate(1)
+    assert f != series(f[:2])
     # the series is the tuple of its coefficients
     assert list(f) == [1, 2, 3] and len(f) == f.order + 1 and f[-1] == 3
     assert f == (1, 2, 3) and hash(f) == hash((1, 2, 3))
     # a tuple slice is a plain tuple: every operation wraps its result
     g = series([1, -1, 4])
-    results = [f.truncate(1), f.shift(2), f.derivative(), _theta(f), -f,
+    results = [f.shift(2), f.derivative(), _theta(f), -f,
                f + g, f + 1, 1 + f, f - g, f - 1, 1 - f, f * 3, 3 * f, f * g,
                f / g, f / -1, f ** 0, f ** 1, f ** 3]
     assert all(type(r) is TruncatedSeries for r in results)
