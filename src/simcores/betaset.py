@@ -42,12 +42,13 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
-def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
+def cores_by_size(a: int, b: int) -> list[tuple[int, list[str]]]:
     """Every simultaneous (a, b)-core, as an ascending list of size classes
-    (size, texts, gap_sizes), each class in canonical order (descending
-    parts).  A text is a core's parts in decimal separated by spaces, and
-    gap_sizes[i] is core i's kept-gap sum less C(count, 2): its size read
-    off its hook set, a second route to the class size, the sum of parts.
+    (size, texts), each class in canonical order (descending parts).  A
+    text is a core's parts in decimal separated by spaces.  Each core is
+    filed under the sum of its parts and checked, as its class is taken,
+    against its size read off its hook set, its kept-gap sum less
+    C(count, 2): the two routes must agree, or ArithmeticError.
 
     Removing the largest part of a core leaves a core, its parent, whose
     hook set lacks the largest member.  So every nonempty core is its
@@ -87,6 +88,10 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
         size = heappop(sizes)
         cls = pending.pop(size)
         for text, ideal, ext, count, total in cls:
+            hooks = total - count * (count - 1) // 2
+            if hooks != size:
+                raise ArithmeticError(f"a core listed under size {size} has "
+                                      f"a hook set of size {hooks}")
             while ext:   # lowest gap first, so ext keeps only gaps above it
                 low = ext & -ext
                 ext ^= low
@@ -106,7 +111,5 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str], list[int]]]:
                 pending[size + part].append(
                     (words[part] + text if count else digits[part],
                      child, grown, count + 1, total + gap))
-        classes.append((size, [core[0] for core in cls],
-                        [total - count * (count - 1) // 2
-                         for _, _, _, count, total in cls]))
+        classes.append((size, [core[0] for core in cls]))
     return classes

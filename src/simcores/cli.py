@@ -88,25 +88,17 @@ def _cmd_cores(args):
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
     classes = cores_by_size(args.a, args.b)
-    # Classes come in ascending size, each in canonical order already.  Each
-    # is filed under the sum of its parts and carries each core's size read
-    # off its hook set: the two routes must agree on every core.
-    for size, _, gap_sizes in classes:
-        if gap_sizes.count(size) != len(gap_sizes):
-            wrong = next(s for s in gap_sizes if s != size)
-            raise ArithmeticError(f"a core listed under size {size} has a "
-                                  f"hook set of size {wrong}")
     # the listing and the lattice-path transfer are independent routes
-    count = sum(len(texts) for _, texts, _ in classes)
-    total = sum(size * len(texts) for size, texts, _ in classes)
+    count = sum(len(texts) for _, texts in classes)
+    total = sum(size * len(texts) for size, texts in classes)
     if (count, total) != (check.count, check.total):
         raise ArithmeticError(
             f"the listing has {count} cores of total size {total}, the "
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
-    # each class is written with one join over its texts, "p q r" each, and
-    # replaces that put in the format's separators: "]" between cores, as
-    # no text holds it, and the part separator in place of " "
+    # each class is written with one join over its texts, "p q r" each; in
+    # plain and JSON, replaces then put in the format's separators: "]"
+    # between cores, as no text holds it, and the part separator for " "
     write = sys.stdout.write
     if args.format == "json":
         import json
@@ -116,7 +108,7 @@ def _cmd_cores(args):
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
         write(head[:-2] + ',\n  "cores": [\n    []')
-        for _, texts, _ in classes[1:]:
+        for _, texts in classes[1:]:
             write(",\n    [\n      " + "]".join(texts).replace(" ", ",\n      ")
                   .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
         write("\n  ]\n}\n")
@@ -124,7 +116,7 @@ def _cmd_cores(args):
         # CSV by hand, here and in `_report`: no field holds a comma, a
         # quote or a newline, so none needs quoting
         write("parts,size\n")
-        for size, texts, _ in classes:
+        for size, texts in classes:
             end = f",{size}\n"
             write(end.join(texts) + end)
     else:
@@ -132,7 +124,7 @@ def _cmd_cores(args):
         print(f"total size: {check.total}")
         print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for _, texts, _ in classes:
+        for _, texts in classes:
             write("  [" + "]".join(texts).replace(" ", ", ")
                   .replace("]", "]\n  [") + "]\n")
     return 0 if check.matches else 1

@@ -15,8 +15,7 @@ from collections import namedtuple
 from math import comb
 from operator import index
 
-from .stats import (_theta, as_truncation_m, compute_stats, core_count,
-                    recursion_rhs)
+from .stats import as_truncation_m, compute_stats, core_count, recursion_rhs
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -62,10 +61,15 @@ class TruncatedSeries(tuple):
             raise ValueError(f"cannot shift by x**{k}")
         return TruncatedSeries((0,) * k + tuple(self))
 
+    def theta(self) -> "TruncatedSeries":
+        """x * d/dx: coefficient n times n, at this order (order 0 too,
+        where `derivative` refuses)."""
+        return TruncatedSeries(n * c for n, c in enumerate(self))
+
     def derivative(self) -> "TruncatedSeries":
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
-        return TruncatedSeries(_theta(self)[1:])
+        return TruncatedSeries(self.theta()[1:])
 
     def _coerced(self, other):
         if isinstance(other, TruncatedSeries):

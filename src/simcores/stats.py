@@ -119,18 +119,12 @@ class RecursionCheck(namedtuple("RecursionCheck", "name m n lhs rhs passed")):
     __slots__ = ()
 
 
-def _theta(f):
-    """x * d/dx of a series: coefficient n times n, at f's own order (order
-    0 too, where `derivative` refuses)."""
-    return type(f)(n * c for n, c in enumerate(f))
-
-
 def as_truncation_m(m, a, t, r, g):
     """The four series of the plain poset, the gap poset of (n, m*n + 1),
     read as truncation m of that of (n + 1, m*(n + 1) + 1): runner k becomes
     runner k + 1, each layer rises by m and each label by 1 + m*(n + 1) +
     its plain layer."""
-    return a, t, r + m * t, g + r + (m + 1) * t + m * _theta(t)
+    return a, t, r + m * t, g + r + (m + 1) * t + m * t.theta()
 
 
 def recursion_rhs(stat, j, A, T, R, G):
@@ -143,15 +137,15 @@ def recursion_rhs(stat, j, A, T, R, G):
     if stat == "count":
         rhs = a * a0
     elif stat == "member":
-        rhs = (t + _theta(a)) * a0 + a * t0
+        rhs = (t + a.theta()) * a0 + a * t0
     elif stat == "layer":
-        rhs = a0 * R[j + 1] + j * _theta(a) * a0 + a * (R[0] + j * t0)
+        rhs = a0 * R[j + 1] + j * a.theta() * a0 + a * (R[0] + j * t0)
     else:
         # every label of truncation j + 1 rises by j(n + 1) + 1 in truncation j
-        c = a * t0 + _theta(a) * a0
-        rhs = (a0 * G[j + 1] + _theta(a0) * R[j + 1] - a0 * _theta(t)
-               + a * (G[0] + R[0]) + _theta(a) * R[0]
-               + j * _theta(c) + (j + 1) * c - t * t0)
+        c = a * t0 + a.theta() * a0
+        rhs = (a0 * G[j + 1] + a0.theta() * R[j + 1] - a0 * t.theta()
+               + a * (G[0] + R[0]) + a.theta() * R[0]
+               + j * c.theta() + (j + 1) * c - t * t0)
     return rhs if j else rhs.shift(1) + (1 if stat == "count" else 0)
 
 

@@ -7,12 +7,17 @@ a = b - 1.  At slope two the plain poset of index n is the gap poset of
 (n, 2n + 1), and the trimmed poset of index n drops the bottom layer of
 the gap poset of (n + 1, 2n + 3).  Every part keeps its labels from the
 whole poset, so each copy is given by an explicit element map.
+
+Last, the listing walk recompiled with a planted fault, for the tests of
+the check that must catch it.
 """
 
+import inspect
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
+from simcores import betaset
 from simcores.betaset import _validated_descending
 from simcores.partitions import check_partition
 from simcores.posets import (FamilyId, _closure, family_poset, gap_poset,
@@ -186,3 +191,17 @@ def assert_isomorphism(source, target, mapping):
         f"not a bijection onto {target}"
     assert {(mapping[hi], mapping[lo]) for hi, lo in source.covers} \
         == set(target.covers), f"covers not carried onto {target}"
+
+
+def walk_with_hook_fault(condition):
+    """`betaset.cores_by_size` recompiled with the kept-gap sum 1 too large
+    for each child whose `condition`, an expression in `count` (the parent's
+    part count) and `gap`, holds.  Every text is still right, and so are the
+    count and total of the listing: only the walk's check of each core
+    against its hook set can see the fault."""
+    source = inspect.getsource(betaset.cores_by_size)
+    assert source.count("total + gap") == 1
+    namespace = dict(vars(betaset))
+    exec(compile(source.replace("total + gap", f"total + gap + ({condition})"),
+                 betaset.__file__, "exec"), namespace)
+    return namespace["cores_by_size"]

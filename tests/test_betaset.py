@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (canonical_order, enumerate_cores_bounded, hook_lengths,
-                     is_core, size_via_ideal)
+                     is_core, size_via_ideal, walk_with_hook_fault)
 from simcores.betaset import (NotBetaSetError, cores_by_size,
                               ideal_to_partition, partition_to_ideal)
 from simcores.posets import NonCoprimeError, gap_poset, order_ideals
@@ -93,16 +93,14 @@ def test_bijection_image_is_every_core():
 def decoded(classes):
     """`cores_by_size`'s classes as (size, parts tuples) pairs, each text read
     back into its parts and written again the same.  Sizes must ascend, no
-    class may be empty, and each core's parts and its size read off its hook
-    set must give its class size."""
-    sizes = [size for size, _, _ in classes]
+    class may be empty, and each core's parts must give its class size."""
+    sizes = [size for size, _ in classes]
     assert sizes == sorted(set(sizes))
     out = []
-    for size, texts, gap_sizes in classes:
+    for size, texts in classes:
         cls = [tuple(map(int, text.split())) for text in texts]
         assert texts == [" ".join(map(str, p)) for p in cls], size
         assert cls and all(sum(p) == size for p in cls), size
-        assert gap_sizes == [size] * len(cls), size
         out.append((size, cls))
     return out
 
@@ -157,6 +155,18 @@ def test_cores_by_size_classes_descend_beyond_enumeration():
     for a, b in BEYOND_ENUMERATION:
         for size, cls in decoded(cores_by_size(a, b)):
             assert cls == sorted(cls, reverse=True), (a, b, size)
+
+
+def test_cores_by_size_checks_each_core_against_its_hook_set():
+    # a kept-gap sum 1 too large from the second part on leaves every text
+    # right, and the walk refuses the first core it makes wrong, (1, 1)
+    for a, b in [(3, 7), (3, 301)]:
+        with pytest.raises(ArithmeticError) as caught:
+            walk_with_hook_fault("count > 0")(a, b)
+        assert str(caught.value) == ("a core listed under size 2 has a hook "
+                                     "set of size 3"), (a, b)
+    # the recompiled walk unfaulted is the walk
+    assert walk_with_hook_fault("0")(3, 301) == cores_by_size(3, 301)
 
 
 def test_cores_by_size_reject_bad_pairs():

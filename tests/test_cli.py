@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import simcores
-from oracles import canonical_order
+from oracles import canonical_order, walk_with_hook_fault
 from simcores import betaset, cli, stats
 from simcores.cli import _report, build_parser, main
 from simcores.posets import gap_poset
@@ -459,9 +459,8 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
     def one_dropped(a, b):
         classes = real(a, b)
-        _, texts, gap_sizes = max(classes, key=lambda cls: len(cls[1]))
+        _, texts = max(classes, key=lambda cls: len(cls[1]))
         texts.pop()
-        gap_sizes.pop()
         return classes
 
     monkeypatch.setattr(betaset, "cores_by_size", one_dropped)
@@ -474,25 +473,15 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
 
 
 def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
-    # two cores of different sizes swap classes, each text with its size
-    # read off its hook set: the count and the total still match the
-    # transfer, so only the per-core size check can see it
-    real = betaset.cores_by_size
-
-    def swapped(a, b):
-        classes = real(a, b)
-        (_, *small), (_, *large) = classes[1:3]
-        for i in (0, 1):
-            small[i][0], large[i][0] = large[i][0], small[i][0]
-        return classes
-
-    monkeypatch.setattr(betaset, "cores_by_size", swapped)
+    # the walk keeps a kept-gap sum 1 too large from the second part on:
+    # every text, the count and the total still match the transfer, so only
+    # the walk's check of each core against its hook set can see it
+    monkeypatch.setattr(betaset, "cores_by_size", walk_with_hook_fault("count > 0"))
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
                              "--format", fmt)
-        assert code == 1 and out == ""
-        assert err.startswith("error: a core listed under size ")
-        assert "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == "error: a core listed under size 2 has a hook set of size 3\n"
 
 
 def render_listing(a, b, cores, fmt):
@@ -549,7 +538,7 @@ def test_cores_listing_across_string_kinds(capsys):
     classes = betaset.cores_by_size(3, 301)
     assert len(mixed_kind_classes(classes)) == 176
     cores = canonical_order([tuple(map(int, text.split()))
-                             for _, texts, _ in classes for text in texts])
+                             for _, texts in classes for text in texts])
     assert len(cores) == 15_251 and max(map(max, cores[1:])) == 300
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
@@ -561,25 +550,22 @@ def test_cores_listing_across_string_kinds(capsys):
 
 
 def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
-    # with 256 gaps or more parts run past one byte: two cores of classes
-    # that mix both kinds swap classes, each text with its size read off its
-    # hook set, and only the per-core size check can see it
-    real = betaset.cores_by_size
-
-    def swapped(a, b):
-        classes = real(a, b)
-        (_, *small), (_, *large) = mixed_kind_classes(classes)[:2]
-        for i in (0, 1):
-            small[i][0], large[i][0] = large[i][0], small[i][0]
-        return classes
-
-    monkeypatch.setattr(betaset, "cores_by_size", swapped)
+    # with 256 gaps or more parts run past one byte: the kept-gap sum is 1
+    # too large for each core made with a part above 255, so the first core
+    # wrong is in the first class with such a part, which mixes both kinds,
+    # and only the walk's check of each core can see it
+    classes = betaset.cores_by_size(3, 301)
+    first = next(size for size, texts in classes
+                 if any(int(text.split()[0]) > 255 for text in texts if text))
+    assert first == mixed_kind_classes(classes)[0][0] == 18_892
+    monkeypatch.setattr(betaset, "cores_by_size",
+                        walk_with_hook_fault("gap - count > 255"))
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
                              "--format", fmt)
-        assert code == 1 and out == ""
-        assert err.startswith("error: a core listed under size ")
-        assert "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == (f"error: a core listed under size {first} has a hook "
+                       f"set of size {first + 1}\n")
 
 
 def test_cores_mismatch_exits_1(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
 import simcores.series
-from simcores.stats import _theta, as_truncation_m, average_size_check
+from simcores.stats import as_truncation_m, average_size_check
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -348,7 +348,7 @@ def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
 
     def faulty(stat, j, A, T, R, G):
         rhs = real(stat, j, A, T, R, G)
-        return rhs + j * _theta(A[j + 1]) * A[0] if stat == "layer" and j else rhs
+        return rhs + j * A[j + 1].theta() * A[0] if stat == "layer" and j else rhs
 
     monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
     failed = {c.identity for c in check_identities(2, 12) if not c.passed}
@@ -417,7 +417,7 @@ def test_truncated_series_value_semantics():
     assert f == (1, 2, 3) and hash(f) == hash((1, 2, 3))
     # a tuple slice is a plain tuple: every operation wraps its result
     g = series([1, -1, 4])
-    results = [f.shift(2), f.derivative(), _theta(f), -f,
+    results = [f.shift(2), f.derivative(), f.theta(), -f,
                f + g, f + 1, 1 + f, f - g, f - 1, 1 - f, f * 3, 3 * f, f * g,
                f / g, f / -1, f ** 0, f ** 1, f ** 3]
     assert all(type(r) is TruncatedSeries for r in results)
