@@ -152,23 +152,24 @@ def _cmd_stats(args):
     from .stats import compute_stats
 
     _guard_grid(args)
-    rows = [{"m": rec.family.m, "j": rec.family.j, "n": rec.family.n,
-             "ideal_count": rec.ideal_count, "member_sum": rec.member_sum,
-             "layer_sum": rec.layer_sum, "core_size_sum": rec.core_size_sum}
-            for rec in compute_stats(args.m, args.max_n)]
-    return _report(rows, args,
+    return _report([(*rec.family, *rec[1:])
+                    for rec in compute_stats(args.m, args.max_n)], args,
+                   ("m", "j", "n", "ideal_count", "member_sum", "layer_sum",
+                    "core_size_sum"),
                    "m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
                    "layers={layer_sum} sizes={core_size_sum}")
 
 
-def _report(rows, args, plain):
-    """Print `rows` as JSON, CSV (header from the first row's keys) or one
-    `plain.format_map(row)` line each, led by "ok   " or "FAIL " when the row
-    has a "pass" key; exit 1 when a row carries a false "pass"."""
+def _report(records, args, columns, plain):
+    """Print each record as the row `dict(zip(columns, record))`, fields past
+    the last column (`IdentityCheck.kind`) unprinted: as JSON, as CSV under
+    the header `columns`, or as `plain.format_map(row)` lines led by "ok   "
+    or "FAIL " when a column is "pass"; exit 1 on a row with a false "pass"."""
+    rows = [dict(zip(columns, record)) for record in records]
     if args.format == "json":
         _print_json(rows)
     elif args.format == "csv":
-        print(",".join(rows[0]) if rows else "")
+        print(",".join(columns))
         for r in rows:
             print(",".join(map(str, r.values())))
     else:
@@ -182,10 +183,9 @@ def _cmd_recursions(args):
     from .stats import verify_stat_recursions
 
     _guard_grid(args)
-    checks = verify_stat_recursions(args.m, args.max_n)
-    rows = [{"name": c.name, "m": c.m, "n": c.n, "lhs": c.lhs, "rhs": c.rhs,
-             "pass": c.passed} for c in checks]
-    return _report(rows, args, "{name} n={n}: {lhs} == {rhs}")
+    return _report(verify_stat_recursions(args.m, args.max_n), args,
+                   ("name", "m", "n", "lhs", "rhs", "pass"),
+                   "{name} n={n}: {lhs} == {rhs}")
 
 
 def _cmd_series_verify(args):
@@ -193,26 +193,23 @@ def _cmd_series_verify(args):
 
     _guard(args, args.m, MAX_M, "--m")
     _guard(args, args.order, MAX_ORDER, "the series order")
-    checks = check_identities(args.m, args.order)
-    rows = [{"identity_name": c.identity, "m": c.m,
-             "effective_order": c.effective_order,
-             "residual_max_abs": str(c.residual_max_abs),
-             "pass": c.passed} for c in checks]
-    return _report(rows, args, "{identity_name} (order {effective_order}): "
-                               "residual {residual_max_abs}")
+    return _report([c._replace(residual_max_abs=str(c.residual_max_abs))
+                    for c in check_identities(args.m, args.order)], args,
+                   ("identity_name", "m", "effective_order",
+                    "residual_max_abs", "pass"),
+                   "{identity_name} (order {effective_order}): "
+                   "residual {residual_max_abs}")
 
 
 def _cmd_cross_check(args):
     from .series import cross_check
 
     _guard_grid(args)
-    checks = cross_check(args.m, args.max_n)
-    rows = [{"m": c.m, "j": c.j, "n": c.n, "statistic": c.statistic,
-             "series_value": c.series_value,
-             "enumerated_value": c.enumerated_value,
-             "pass": c.passed} for c in checks]
-    return _report(rows, args, "j={j} n={n} {statistic}: "
-                               "{series_value} == {enumerated_value}")
+    return _report(cross_check(args.m, args.max_n), args,
+                   ("m", "j", "n", "statistic", "series_value",
+                    "enumerated_value", "pass"),
+                   "j={j} n={n} {statistic}: "
+                   "{series_value} == {enumerated_value}")
 
 
 def build_parser():

@@ -93,7 +93,8 @@ def gap_poset(a: int, b: int) -> GapPoset:
 def induced_subposet(poset: GapPoset, keep) -> GapPoset:
     """Sub-poset on `keep` (original labels), which must be convex:
     everything between two kept elements is kept, so the sub-poset's covers
-    are the p - q in {a, b} rule restricted.  Otherwise ValueError.
+    are the p - q in {a, b} rule restricted.  ValueError when it is not,
+    `ElementNotInPosetError` (a `LookupError`) for an element not in `poset`.
     """
     keep = tuple(sorted(set(keep)))
     outside = set(keep).difference(poset.elements)

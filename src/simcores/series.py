@@ -228,8 +228,9 @@ class IdentityCheck(namedtuple("IdentityCheck", "identity m effective_order "
     __slots__ = ()
 
 
-def check_identities(m: int, order: int = 12) -> list[IdentityCheck]:
-    """Evaluate the full ledger of generating-function identities at slope m.
+def check_identities(m: int, order: int) -> list[IdentityCheck]:
+    """Evaluate the full ledger of generating-function identities at slope m
+    through x^order (the CLI's `--order`, 12 by default).
 
     Each derived entry subtracts the two sides of one identity as truncated
     series; it passes only when the residual is identically zero through its

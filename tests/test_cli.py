@@ -399,11 +399,20 @@ def test_report_exit_one_on_failure(capsys):
     class Args:
         format = "plain"
 
-    rows = [{"name": "demo", "pass": True}, {"name": "demo2", "pass": False}]
-    code = _report(rows, Args(), "{name}")
+    records = [("demo", True), ("demo2", False)]
+    code = _report(records, Args(), ("name", "pass"), "{name}")
     out, _ = capsys.readouterr()
     assert code == 1
     assert out == "ok   demo\nFAIL demo2\n"
+
+
+def test_report_csv_header_without_records(capsys):
+    # the header comes from the column names, not from a first row
+    class Args:
+        format = "csv"
+
+    assert _report([], Args(), ("name", "pass"), "{name}") == 0
+    assert capsys.readouterr().out == "name,pass\n"
 
 
 def test_usage_error_exits_2():
