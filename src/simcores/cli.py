@@ -149,13 +149,10 @@ def _cmd_poset(args):
 
 
 def _cmd_stats(args):
-    from .stats import compute_stats
+    from .stats import StatRecord, compute_stats
 
     _guard_grid(args)
-    return _report([(*rec.family, *rec[1:])
-                    for rec in compute_stats(args.m, args.max_n)], args,
-                   ("m", "j", "n", "ideal_count", "member_sum", "layer_sum",
-                    "core_size_sum"),
+    return _report(compute_stats(args.m, args.max_n), args, StatRecord._fields,
                    "m={m} j={j} n={n}: ideals={ideal_count} members={member_sum} "
                    "layers={layer_sum} sizes={core_size_sum}")
 

@@ -418,14 +418,11 @@ def cross_check(m: int, n_max: int) -> list[CrossCheck]:
     records = compute_stats(m, n_max)   # refuses a bad grid before any work
     bundle = stat_series(m, n_max)
     out = []
-    for rec in records:
-        j, n = rec.family.j, rec.family.n
-        rows = (("count", bundle.count[j], rec.ideal_count),
-                ("member", bundle.member[j], rec.member_sum),
-                ("layer", bundle.layer[j], rec.layer_sum),
-                ("size", bundle.size[j], rec.core_size_sum))
-        for stat, srs, enumerated in rows:
-            value = srs[n]
+    for _, j, n, *totals in records:
+        for stat, S, enumerated in zip(
+                ("count", "member", "layer", "size"),
+                (bundle.count, bundle.member, bundle.layer, bundle.size), totals):
+            value = S[j][n]
             out.append(CrossCheck(m, j, n, stat, value, enumerated,
                                   value == enumerated))
     return out

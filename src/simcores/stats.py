@@ -8,7 +8,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb, gcd
 
-from .posets import FamilyId, NonCoprimeError, abacus_runners, gap_count
+from .posets import NonCoprimeError, abacus_runners, gap_count
 
 
 def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
@@ -48,12 +48,12 @@ def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
     return [(c, x1, xy, xl - (x2 - x1) // 2) for c, x1, x2, xl, xy in prefix]
 
 
-class StatRecord(namedtuple("StatRecord", "family ideal_count member_sum "
+class StatRecord(namedtuple("StatRecord", "m j n ideal_count member_sum "
                                          "layer_sum core_size_sum")):
-    """Exact totals of the four statistics over every ideal of one poset:
-    the number of order ideals, and over all of them the total number of
-    members, the total of member layer indices and the total partition size
-    under the beta-set bijection."""
+    """Exact totals of the four statistics over every ideal of the family
+    poset (m, j, n): the number of order ideals, and over all of them the
+    total number of members, the total of member layer indices and the
+    total partition size under the beta-set bijection."""
 
     __slots__ = ()
 
@@ -76,11 +76,10 @@ def compute_stats(m: int, n_max: int) -> tuple[StatRecord, ...]:
     records = []
     for j in range(m):
         for n in range(n_max + 1):
-            family = FamilyId(m, j, n)
-            a = family.layer_divisor
+            a = n + 1 if j else n   # the poset's index, its layer divisor
             totals = passes[a]   # a single entry, at every cap, for a <= 1
             c, t, r, g = totals[min(m - j, len(totals) - 1)]
-            records.append(StatRecord(family, c, t, r + j * t, g + a * j * t))
+            records.append(StatRecord(m, j, n, c, t, r + j * t, g + a * j * t))
     return tuple(records)
 
 
@@ -163,7 +162,7 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     from .series import series   # series imports this module
     w = n_max + 1
     # truncation j's four grid columns as series, then A, T, R, G over j <= m
-    by_j = [[series(c) for c in list(zip(*grid[k:k + w]))[1:]]
+    by_j = [[series(c) for c in list(zip(*grid[k:k + w]))[3:]]
             for k in range(0, m * w, w)]
     maps = list(zip(*by_j, as_truncation_m(m, *by_j[0])))
     sides = []

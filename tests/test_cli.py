@@ -293,6 +293,15 @@ def test_stats_csv(capsys):
     assert "2,0,2,3,3,1,4" in lines
 
 
+@pytest.mark.parametrize("m,n_max", [(1, 0), (2, 4), (3, 2), (6, 5)])
+def test_stats_json_rows_are_the_records(capsys, m, n_max):
+    code, out, _ = run(capsys, "stats", "--m", str(m), "--max-n", str(n_max),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [rec._asdict()
+                               for rec in stats.compute_stats(m, n_max)]
+
+
 def test_recursions_exit_zero(capsys):
     code, out, _ = run(capsys, "recursions", "--m", "2", "--max-n", "3",
                        "--format", "json")

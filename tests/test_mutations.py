@@ -1,6 +1,7 @@
 """Mutation sweeps of the listing walk, `betaset.cores_by_size`, of the
 series kernel, the methods of `series.TruncatedSeries`, and of the ledger's
-functions, from the lattice-path totals to the statistic series.
+functions, from the lattice-path totals to the statistic series and the
+two checks that hold the grid against them.
 
 Each `+` or `-` is flipped, and each int literal is raised by 1, one at a
 time.  Every such mutant must raise, run out of time, or change the outcome
@@ -40,8 +41,10 @@ EQUIVALENT = {
     ("compute_stats", "maxsize=8 -> maxsize=9"):
         "a CLI job reads one grid; a larger cache differs only in memory",
     ("compute_stats", "n_max + 2 -> n_max + 3"):
-        "the extra pass, index n_max + 2, is never read: a family's "
-        "layer_divisor is at most n + 1 <= n_max + 1",
+        "the extra pass, index n_max + 2, is never read: the divisor "
+        "a = n + 1 if j else n is at most n_max + 1",
+    ("verify_stat_recursions", "2 if m < 2 else 4 -> 2 if m < 2 else 5"):
+        "a slice past the end of the four statistic names is all four",
 }
 
 
@@ -99,7 +102,8 @@ def _cold(job):
 # ones it calls by name, and each mutant is patched into both modules
 LEDGER = {"_path_totals": stats, "compute_stats": stats,
           "as_truncation_m": stats, "recursion_rhs": stats,
-          "stat_series": series, "fuss_catalan_number": series}
+          "verify_stat_recursions": stats, "stat_series": series,
+          "fuss_catalan_number": series, "cross_check": series}
 
 # No CLI job reads the length of the totals of a pair with no runners, runs
 # the empty grid or sees the bundle whole, so the probes do.

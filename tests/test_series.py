@@ -408,6 +408,21 @@ def test_cross_check_single_slice():
     assert rows and all(r.j == 1 and r.passed for r in rows)
 
 
+@pytest.mark.parametrize("k,stat", enumerate(("count", "member", "layer", "size"), 3))
+def test_a_fault_in_one_grid_total_fails_its_row_alone(monkeypatch, k, stat):
+    # each grid total is held against its own statistic's series
+    real = simcores.series.compute_stats
+
+    def off(m, n_max):
+        return tuple(rec[:k] + (rec[k] + 1,) + rec[k + 1:]
+                     if (rec.j, rec.n) == (1, 2) else rec
+                     for rec in real(m, n_max))
+
+    monkeypatch.setattr(simcores.series, "compute_stats", off)
+    assert [(r.j, r.n, r.statistic) for r in cross_check(3, 4)
+            if not r.passed] == [(1, 2, stat)]
+
+
 def test_truncated_series_value_semantics():
     f = series([1, 2, 3])
     assert f == TruncatedSeries((1, 2, 3))
