@@ -6,7 +6,7 @@ exactly the order ideals, and the partition size can be read off a set
 without decoding it.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from heapq import heappop, heappush
 
 from .posets import gap_poset
@@ -42,12 +42,14 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
-def cores_by_size(a: int, b: int) -> list[tuple[int, list[str]]]:
-    """Every simultaneous (a, b)-core, as an ascending list of size classes
-    (size, texts), each class in canonical order (descending parts).  A
-    text is a core's parts in decimal separated by spaces.  Each core is
-    filed under the sum of its parts and checked, as its class is taken,
-    against its size read off its hook set, its kept-gap sum less
+def cores_by_size(a: int, b: int) -> Iterator[tuple[int, list[str]]]:
+    """Every simultaneous (a, b)-core, as an iterator of size classes
+    (size, texts) in ascending size, each class in canonical order
+    (descending parts).  A text is a core's parts in decimal separated by
+    spaces.  The pair is checked and its gap poset built at the call; the
+    walk runs as the classes are taken.  Each core is filed under the sum
+    of its parts and checked, as its class is taken and before the class is
+    yielded, against its size read off its hook set, its kept-gap sum less
     C(count, 2): the two routes must agree, or ArithmeticError.
 
     Removing the largest part of a core leaves a core, its parent, whose
@@ -79,37 +81,39 @@ def cores_by_size(a: int, b: int) -> list[tuple[int, list[str]]]:
     # largest part and contains every other core (Vandehey)
     digits = list(map(str, range(len(gaps) + 1)))
     words = [f"{part} " for part in digits]
-    # size -> the cores of that size, each a tuple
-    # (text, ideal, extension mask, count, kept-gap sum)
-    pending = {0: [("", 0, minimal, 0, 0)]}
-    sizes = [0]
-    classes = []
-    while sizes:
-        size = heappop(sizes)
-        cls = pending.pop(size)
-        for text, ideal, ext, count, total in cls:
-            hooks = total - count * (count - 1) // 2
-            if hooks != size:
-                raise ArithmeticError(f"a core listed under size {size} has "
-                                      f"a hook set of size {hooks}")
-            while ext:   # lowest gap first, so ext keeps only gaps above it
-                low = ext & -ext
-                ext ^= low
-                i = low.bit_length() - 1
-                gap = gaps[i]
-                part = gap - count
-                child = ideal | low
-                up_a, other_a, up_b, other_b = covers[i]
-                grown = ext
-                if child & other_a == other_a:
-                    grown |= up_a
-                if child & other_b == other_b:
-                    grown |= up_b
-                if size + part not in pending:
-                    pending[size + part] = []
-                    heappush(sizes, size + part)
-                pending[size + part].append(
-                    (words[part] + text if count else digits[part],
-                     child, grown, count + 1, total + gap))
-        classes.append((size, [core[0] for core in cls]))
-    return classes
+
+    def walk():
+        # size -> the cores of that size, each a tuple
+        # (text, ideal, extension mask, count, kept-gap sum)
+        pending = {0: [("", 0, minimal, 0, 0)]}
+        sizes = [0]
+        while sizes:
+            size = heappop(sizes)
+            cls = pending.pop(size)
+            for text, ideal, ext, count, total in cls:
+                hooks = total - count * (count - 1) // 2
+                if hooks != size:
+                    raise ArithmeticError(f"a core listed under size {size} "
+                                          f"has a hook set of size {hooks}")
+                while ext:   # lowest gap first, so ext keeps only gaps above it
+                    low = ext & -ext
+                    ext ^= low
+                    i = low.bit_length() - 1
+                    gap = gaps[i]
+                    part = gap - count
+                    child = ideal | low
+                    up_a, other_a, up_b, other_b = covers[i]
+                    grown = ext
+                    if child & other_a == other_a:
+                        grown |= up_a
+                    if child & other_b == other_b:
+                        grown |= up_b
+                    if size + part not in pending:
+                        pending[size + part] = []
+                        heappush(sizes, size + part)
+                    pending[size + part].append(
+                        (words[part] + text if count else digits[part],
+                         child, grown, count + 1, total + gap))
+            yield size, [core[0] for core in cls]
+
+    return walk()

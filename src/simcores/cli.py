@@ -87,18 +87,22 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    classes = cores_by_size(args.a, args.b)
-    # the listing and the lattice-path transfer are independent routes
-    count = sum(len(texts) for _, texts in classes)
-    total = sum(size * len(texts) for size, texts in classes)
+    # the listing and the lattice-path transfer are independent routes; each
+    # class is held as one string, its texts joined by "]", so a core's own
+    # string is freed once its class is joined
+    classes, count, total = [], 0, 0
+    for size, texts in cores_by_size(args.a, args.b):
+        count += len(texts)
+        total += size * len(texts)
+        classes.append((size, "]".join(texts)))
     if (count, total) != (check.count, check.total):
         raise ArithmeticError(
             f"the listing has {count} cores of total size {total}, the "
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
-    # each class is written with one join over its texts, "p q r" each; in
-    # plain and JSON, replaces then put in the format's separators: "]"
-    # between cores, as no text holds it, and the part separator for " "
+    # each class string, "p q r]s t" for the cores (p, q, r) and (s, t), is
+    # written with replaces that put in the format's separators: its own for
+    # "]" between cores and, in plain and JSON, the part separator for " "
     write = sys.stdout.write
     if args.format == "json":
         import json
@@ -108,24 +112,24 @@ def _cmd_cores(args):
                            "total_size": check.total, "average": average,
                            "matches": check.matches}, indent=2)
         write(head[:-2] + ',\n  "cores": [\n    []')
-        for _, texts in classes[1:]:
-            write(",\n    [\n      " + "]".join(texts).replace(" ", ",\n      ")
+        for _, text in classes[1:]:
+            write(",\n    [\n      " + text.replace(" ", ",\n      ")
                   .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
         write("\n  ]\n}\n")
     elif args.format == "csv":
         # CSV by hand, here and in `_report`: no field holds a comma, a
         # quote or a newline, so none needs quoting
         write("parts,size\n")
-        for size, texts in classes:
+        for size, text in classes:
             end = f",{size}\n"
-            write(end.join(texts) + end)
+            write(text.replace("]", end) + end)
     else:
         print(f"({args.a}, {args.b})-cores: {check.count}")
         print(f"total size: {check.total}")
         print(f"average size: {average}")
         print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for _, texts in classes:
-            write("  [" + "]".join(texts).replace(" ", ", ")
+        for _, text in classes:
+            write("  [" + text.replace(" ", ", ")
                   .replace("]", "]\n  [") + "]\n")
     return 0 if check.matches else 1
 

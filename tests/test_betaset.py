@@ -1,3 +1,4 @@
+from itertools import takewhile
 from math import gcd
 
 import pytest
@@ -94,6 +95,7 @@ def decoded(classes):
     """`cores_by_size`'s classes as (size, parts tuples) pairs, each text read
     back into its parts and written again the same.  Sizes must ascend, no
     class may be empty, and each core's parts must give its class size."""
+    classes = list(classes)
     sizes = [size for size, _ in classes]
     assert sizes == sorted(set(sizes))
     out = []
@@ -162,11 +164,27 @@ def test_cores_by_size_checks_each_core_against_its_hook_set():
     # right, and the walk refuses the first core it makes wrong, (1, 1)
     for a, b in [(3, 7), (3, 301)]:
         with pytest.raises(ArithmeticError) as caught:
-            walk_with_hook_fault("count > 0")(a, b)
+            list(walk_with_hook_fault("count > 0")(a, b))
         assert str(caught.value) == ("a core listed under size 2 has a hook "
                                      "set of size 3"), (a, b)
     # the recompiled walk unfaulted is the walk
-    assert walk_with_hook_fault("0")(3, 301) == cores_by_size(3, 301)
+    assert list(walk_with_hook_fault("0")(3, 301)) == list(cores_by_size(3, 301))
+
+
+def test_cores_by_size_yields_each_class_before_a_later_fault():
+    # the walk runs as its classes are taken: with the kept-gap sum 1 too
+    # large for each core made with a part above 255, every class below the
+    # first such core's size comes out as the unfaulted walk gives it, and
+    # only then is that core refused
+    taken = []
+    with pytest.raises(ArithmeticError) as caught:
+        for cls in walk_with_hook_fault("gap - count > 255")(3, 301):
+            taken.append(cls)
+    assert str(caught.value) == ("a core listed under size 18892 has a hook "
+                                 "set of size 18893")
+    assert taken == list(takewhile(lambda cls: cls[0] < 18_892,
+                                   cores_by_size(3, 301)))
+    assert len(taken) == 5_371 and taken[-1][0] == 18_890
 
 
 def test_cores_by_size_reject_bad_pairs():

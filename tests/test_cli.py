@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -476,7 +477,7 @@ def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
     real = betaset.cores_by_size
 
     def one_dropped(a, b):
-        classes = real(a, b)
+        classes = list(real(a, b))
         _, texts = max(classes, key=lambda cls: len(cls[1]))
         texts.pop()
         return classes
@@ -553,7 +554,7 @@ def test_cores_listing_across_string_kinds(capsys):
     # (3, 301) has 300 gaps, so parts run up to 300: within one class, cores
     # with parts below 256 only and cores with a part above 255 are built
     # and written side by side
-    classes = betaset.cores_by_size(3, 301)
+    classes = list(betaset.cores_by_size(3, 301))
     assert len(mixed_kind_classes(classes)) == 176
     cores = canonical_order([tuple(map(int, text.split()))
                              for _, texts in classes for text in texts])
@@ -572,7 +573,7 @@ def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
     # too large for each core made with a part above 255, so the first core
     # wrong is in the first class with such a part, which mixes both kinds,
     # and only the walk's check of each core can see it
-    classes = betaset.cores_by_size(3, 301)
+    classes = list(betaset.cores_by_size(3, 301))
     first = next(size for size, texts in classes
                  if any(int(text.split()[0]) > 255 for text in texts if text))
     assert first == mixed_kind_classes(classes)[0][0] == 18_892
@@ -584,6 +585,23 @@ def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
         assert (code, out) == (1, "")
         assert err == (f"error: a core listed under size {first} has a hook "
                        f"set of size {first + 1}\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cores_listing_is_held_compactly(fmt):
+    # the listing waits in memory until both checks pass, one string per
+    # size class: the traced peak, output aside, stays under 80 bytes per
+    # core (one string per core takes about 100)
+    count = stats.core_count(9, 13)
+    assert count == 22_610
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["cores", "--a", "9", "--b", "13", "--format", fmt]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 80 * count, peak / count
 
 
 def test_cores_mismatch_exits_1(capsys, monkeypatch):
