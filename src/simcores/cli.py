@@ -275,7 +275,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader left early (the flush above surfaces it here): send what
         # is still buffered to devnull so the flush at exit cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
         return 2
     except (EnumerationTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

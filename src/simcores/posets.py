@@ -79,7 +79,7 @@ def abacus_runners(a: int, b: int) -> list[tuple[int, int]]:
     return [divmod(k * b, a) for k in range(-(-a // b), a)]
 
 
-# A few dozen: callers reread recent posets; unbounded, every one would stay.
+# A few dozen: no gated CLI job hits it; tests hit it and the tracer clears it.
 @lru_cache(maxsize=32)
 def gap_poset(a: int, b: int) -> GapPoset:
     """The poset of the gaps of {a, b}, read off `abacus_runners(a, b)`."""
@@ -134,7 +134,7 @@ class FamilyId(namedtuple("FamilyId", "m j n")):
         return self.n if self.j == 0 else self.n + 1
 
 
-# A few dozen: callers reread recent posets; unbounded, every one would stay.
+# A few dozen: no gated CLI job hits it; tests hit it and the tracer clears it.
 @lru_cache(maxsize=32)
 def family_poset(family: FamilyId) -> GapPoset:
     """Materialize the poset named by `family`, with original labels."""

@@ -15,7 +15,7 @@ from collections import namedtuple
 from math import comb
 from operator import index
 
-from .stats import as_truncation_m, compute_stats, core_count, recursion_rhs
+from .stats import compute_stats, core_count, recursion_rhs
 
 # The lowest ledger order at which every entry, the triple-derivative ones
 # included, reaches an effective order of at least 1; below it an entry
@@ -176,11 +176,10 @@ class SeriesBundle(namedtuple("SeriesBundle",
 
     `powers` holds F**0 ... F**(2m+2), built once by successive products.
     `count` (hiding `tuple.count`), `member`, `layer` and `size` map
-    truncation j = 0 .. m to its series, index m being the plain poset read
-    as truncation m (`as_truncation_m` of index 0).  The counts are
-    `powers[1]`, the count series F, at j = 0 and j = m, and
-    `powers[m - j + 1]` at j >= 1.  Every series is over the integers.
-    `denom` is 1 - (m+1) x F**m, the divisor every bottom series is solved by.
+    truncation j = 0 .. m - 1 to its series.  The counts are `powers[1]`,
+    the count series F, at j = 0, and `powers[m - j + 1]` at j >= 1.
+    Every series is over the integers.  `denom` is 1 - (m+1) x F**m, the
+    divisor every bottom series is solved by.
     """
 
     __slots__ = ()
@@ -190,25 +189,23 @@ def stat_series(m: int, order: int) -> SeriesBundle:
     """Build every statistic series from the count series F and the
     recursions alone.
 
-    Index m of a statistic S is S[0] read as truncation m
-    (`as_truncation_m`), and every truncation 1 <= j < m is the
-    `recursion_rhs` of its step, chained down from index m.  That chain is
-    affine in S[0], and the join meets S[0] as (1 - `denom`) * S[0].  So for
-    member, then layer, then size: chain with S[0] = 0, solve S[0] as that
-    join over `denom`, and chain again.  The ledger holds the solved series
-    against the paper's closed forms, and `verify_stat_recursions` and
+    Each truncation 1 <= j < m of a statistic S is the `recursion_rhs` of its
+    step, chained down from the top, which reads S[0] as truncation m.  That
+    chain is affine in S[0], and the join meets S[0] as (1 - `denom`) * S[0].
+    So for member, then layer, then size: chain with S[0] = 0, solve S[0] as
+    that join over `denom`, and chain again.  The ledger holds the solved
+    series against the paper's closed forms, and `verify_stat_recursions` and
     `cross_check` hold them against the lattice-path grid.
     """
     F = fuss_catalan_series(m, order)
     P = [constant(1, order), F]
     for _ in range(2, 2 * m + 3):
         P.append(P[-1] * F)
-    A = (F, *P[m:0:-1])
+    A = (F, *P[m:1:-1])
     denom = P[0] - (m + 1) * P[m].shift(1)
-    T, R, G = ([constant(0, order)] * (m + 1) for _ in range(3))
-    for k, (stat, S) in enumerate((("member", T), ("layer", R), ("size", G)), 1):
+    T, R, G = ([constant(0, order)] * m for _ in range(3))
+    for stat, S in (("member", T), ("layer", R), ("size", G)):
         for solve in (True, False):
-            S[m] = as_truncation_m(m, F, T[0], R[0], G[0])[k]
             for j in range(m - 1, 0, -1):
                 S[j] = recursion_rhs(stat, j, A, T, R, G)
             if solve:

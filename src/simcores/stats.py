@@ -129,42 +129,44 @@ def as_truncation_m(m, a, t, r, g):
 def recursion_rhs(stat, j, A, T, R, G):
     """The right side of the recursion of `stat` (count, member, layer or
     size) at truncation j, as a series.  A, T, R and G map each truncation
-    index 0 .. m to its series, index m being `as_truncation_m` of index 0.
-    The join, j = 0, is x times the step form at j = 0, plus 1 for the count.
+    j = 0 .. m - 1 to its series; the top step, j = m - 1, reads the plain
+    poset as truncation m, `as_truncation_m` of index 0.  The join, j = 0,
+    is x times the step form at j = 0, plus 1 for the count.
     """
-    a0, a, t0, t = A[0], A[j + 1], T[0], T[j + 1]
+    a0, t0, r0, g0 = A[0], T[0], R[0], G[0]
+    a, t, r, g = (as_truncation_m(len(A), a0, t0, r0, g0) if j == len(A) - 1
+                  else (A[j + 1], T[j + 1], R[j + 1], G[j + 1]))
     if stat == "count":
         rhs = a * a0
     elif stat == "member":
         rhs = (t + a.theta()) * a0 + a * t0
     elif stat == "layer":
-        rhs = a0 * R[j + 1] + j * a.theta() * a0 + a * (R[0] + j * t0)
+        rhs = a0 * r + j * a.theta() * a0 + a * (r0 + j * t0)
     else:
         # every label of truncation j + 1 rises by j(n + 1) + 1 in truncation j
         c = a * t0 + a.theta() * a0
-        rhs = (a0 * G[j + 1] + a0.theta() * R[j + 1] - a0 * t.theta()
-               + a * (G[0] + R[0]) + a.theta() * R[0]
+        rhs = (a0 * g + a0.theta() * r - a0 * t.theta()
+               + a * (g0 + r0) + a.theta() * r0
                + j * c.theta() + (j + 1) * c - t * t0)
     return rhs if j else rhs.shift(1) + (1 if stat == "count" else 0)
 
 
 def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
-    """Check the convolution recursions of the four statistics against
-    the grid `compute_stats(m, n_max)`, which refuses an invalid grid: row
-    (name, n) compares coefficient n of a statistic's series with that of
-    its `recursion_rhs`.  Index m being the plain poset, the "-top" rows are
-    the step formulas at j = m - 1.  At m = 1 only the count and member
-    recursions are reported.  The layer and size joins hold there too, and
-    `stat_series` solves R[0] and G[0] from them; they are left out of the
-    m = 1 report only to keep the pinned bytes of `recursions --m 1`.
+    """Check the convolution recursions of the four statistics against the
+    grid `compute_stats(m, n_max)`, which refuses an invalid grid: row
+    (name, n) compares coefficient n of a statistic's series with that of its
+    `recursion_rhs`.  The "-top" rows are the step formulas at j = m - 1,
+    read off the plain poset as truncation m.  At m = 1 only the count and
+    member recursions are reported.  The layer and size joins hold there too,
+    and `stat_series` solves R[0] and G[0] from them; they are left out of
+    the m = 1 report only to keep the pinned bytes of `recursions --m 1`.
     """
     grid = compute_stats(m, n_max)
     from .series import series   # series imports this module
     w = n_max + 1
-    # truncation j's four grid columns as series, then A, T, R, G over j <= m
-    by_j = [[series(c) for c in list(zip(*grid[k:k + w]))[3:]]
-            for k in range(0, m * w, w)]
-    maps = list(zip(*by_j, as_truncation_m(m, *by_j[0])))
+    # each statistic's grid column, as one series per truncation j < m
+    maps = [[series(c[k:k + w]) for k in range(0, m * w, w)]
+            for c in list(zip(*grid))[3:]]
     sides = []
     for stat, S in zip(("count", "member", "layer", "size")[:2 if m < 2 else 4],
                        maps):

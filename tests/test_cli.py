@@ -19,7 +19,6 @@ import simcores
 from oracles import canonical_order, walk_with_hook_fault
 from simcores import betaset, cli, stats
 from simcores.cli import _report, build_parser, main
-from simcores.posets import gap_poset
 from simcores.series import IntegralityViolationError
 
 FORMATS = ("plain", "json", "csv")
@@ -263,6 +262,11 @@ def test_gated_stdout_matches_bench_baseline(capsys, monkeypatch, job):
 @pytest.mark.parametrize("command", ["cores", "poset"])
 def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
     limit = {"cores": cli.MAX_LISTED_GAPS, "poset": cli.MAX_POSET_SIZE}[command]
+
+    def no_poset(*args):
+        raise AssertionError(f"{command} built a poset before its guards")
+    # any build fails, even one that a warm cache would serve
+    monkeypatch.setattr("simcores.posets.gap_poset", no_poset)
     if command == "cores":   # cores builds no poset, so no work may start
         def no_work(*args):
             raise AssertionError("cores worked before its guards")
@@ -270,15 +274,12 @@ def test_guard_is_checked_before_any_poset(capsys, monkeypatch, command):
                        "simcores.stats.average_size_check",
                        "simcores.betaset.cores_by_size"):
             monkeypatch.setattr(target, no_work)
-    gap_poset.cache_clear()   # so an earlier case cannot have built it
-    misses = gap_poset.cache_info().misses
     code, out, err = run(capsys, command, "--a", "700", "--b", "701")
     assert code == 2 and out == ""
     assert err == ("error: the size of the gap poset of (700, 701) is 244650, "
                    f"above the guard of {limit}; pass --unsafe-limits to "
                    "override\n")
     assert len(err) < 200
-    assert gap_poset.cache_info().misses == misses
     code, out, err = run(capsys, command, "--a", "40", "--b", "60")
     assert code == 2 and out == "" and "gcd(40, 60)" in err and "guard" not in err
     code, out, err = run(capsys, command, "--a", "0", "--b", "5")
@@ -659,6 +660,19 @@ def test_closed_stdout_exits_2_without_traceback(fmt):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err
+
+
+def test_closed_stdout_leaks_no_descriptor(monkeypatch):
+    # each in-process run into a pipe whose reader has closed exits 2 and
+    # leaves the process's open descriptors as they were
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            assert main(["cores", "--a", "9", "--b", "10", "--format", "csv"]) == 2
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -9,7 +9,7 @@ from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              fuss_catalan_number, fuss_catalan_series, series,
                              stat_series)
 import simcores.series
-from simcores.stats import as_truncation_m, average_size_check
+from simcores.stats import average_size_check, recursion_rhs
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -168,7 +168,7 @@ def test_stat_series_slope_one_degenerates():
     fp = f.derivative()
     assert b.powers[:2] == (constant(1, 8), f)
     assert b.member[0] == (fp * fp).shift(2) / f
-    assert [len(b.count), len(b.member), len(b.layer), len(b.size)] == [2] * 4
+    assert [len(b.count), len(b.member), len(b.layer), len(b.size)] == [1] * 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 6, 40])
@@ -244,8 +244,10 @@ def test_stat_series_coefficients_are_ints(m):
 def test_stat_series_maps_every_truncation_through_m(m):
     b = stat_series(m, 12)
     maps = (b.count, b.member, b.layer, b.size)
-    assert [len(S) for S in maps] == [m + 1] * 4
-    assert tuple(S[m] for S in maps) == as_truncation_m(m, *(S[0] for S in maps))
+    assert [len(S) for S in maps] == [m] * 4
+    if m > 1:   # the top step, which reads the plain poset as truncation m
+        for stat, S in zip(("count", "member", "layer", "size"), maps):
+            assert S[m - 1] == recursion_rhs(stat, m - 1, *maps), stat
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -348,7 +350,8 @@ def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
 
     def faulty(stat, j, A, T, R, G):
         rhs = real(stat, j, A, T, R, G)
-        return rhs + j * A[j + 1].theta() * A[0] if stat == "layer" and j else rhs
+        # at m = 2 the only step is the top, whose count is the plain F, A[0]
+        return rhs + j * A[0].theta() * A[0] if stat == "layer" and j else rhs
 
     monkeypatch.setattr(simcores.series, "recursion_rhs", faulty)
     failed = {c.identity for c in check_identities(2, 12) if not c.passed}
@@ -361,7 +364,7 @@ def test_a_fault_in_a_layer_step_fails_the_layer_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("stat", ["member", "layer", "size"])
 @pytest.mark.parametrize("j, m", [(0, 1), (0, 2), (0, 3), (0, 4),
-                                  (1, 2), (1, 3), (1, 4)])
+                                  (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 def test_a_fault_in_a_join_or_step_fails_the_bottom_and_average(monkeypatch, stat, j, m):
     # every bottom series is solved from its join and chain, so Armstrong's
     # average and the statistic's own closed form both see a fault in either

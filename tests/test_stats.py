@@ -13,9 +13,9 @@ from simcores.posets import (FamilyId, NonCoprimeError, _ideal_masks,
                              order_ideals)
 from simcores.series import cross_check, series
 from simcores.cli import EnumerationTooLargeError
-from simcores.stats import (StatRecord, _path_totals, as_truncation_m,
-                            average_size_check, compute_stats, core_count,
-                            recursion_rhs, verify_stat_recursions)
+from simcores.stats import (StatRecord, _path_totals, average_size_check,
+                            compute_stats, core_count, recursion_rhs,
+                            verify_stat_recursions)
 
 
 def brute_stats(family):
@@ -467,7 +467,7 @@ def test_layer_and_size_joins_hold_at_m_1():
     # left out of the m = 1 report only to keep its output; stat_series
     # solves R[0] and G[0] from these joins
     cols = [series(c) for c in list(zip(*compute_stats(1, 8)))[3:]]
-    A, T, R, G = ([s, top] for s, top in zip(cols, as_truncation_m(1, *cols)))
+    A, T, R, G = ([s] for s in cols)   # the join is the top step here
     for stat, S in (("layer", R), ("size", G)):
         rhs = recursion_rhs(stat, 0, A, T, R, G)
         assert rhs[:9] == S[0] and any(S[0]), stat
