@@ -9,13 +9,15 @@ any work and lifted by `--unsafe-limits`) and when stdout is closed before
 the report is written (`simcores ... | head`).
 
 Each subcommand imports the library modules it runs when it runs, so a job
-loads only those, and `--help` none.
+loads only those, and `--help` none.  A job written in the plain form (see
+`_plain_args`) loads no `argparse` either; `--help`, usage errors and the
+other spellings argparse accepts (`--m=2`, `--max 4`) do.
 """
 
-import argparse
 import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 # bounds gaps * core_count, 6,240,360 for (11, 13), whose listing itself
 # holds 2,108,752 parts
@@ -50,10 +52,12 @@ def _guard_grid(args):
 
 def _int_at_least(low):
     """An argparse type for integers no smaller than `low`."""
+    from argparse import ArgumentTypeError
+
     def integer(text):
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return integer
 
@@ -213,61 +217,104 @@ def _cmd_cross_check(args):
                    "{series_value} == {enumerated_value}")
 
 
+FORMATS = ("plain", "json", "csv")
+PAIR = (("a", None, None), ("b", None, None))
+GRID = (("m", 1, None), ("max_n", 0, None))
+
+# Each subcommand once, in its --help order: its function, its help, its int
+# flags as (dest, lower bound or None, default or None when required) and its
+# formats, the first the default.  Every subcommand also takes --format and
+# --unsafe-limits.  `build_parser` and `_plain_args` both read this table.
+COMMANDS = {
+    "cores": (_cmd_cores, "enumerate all cores of a coprime pair and check "
+                          "the average-size formula", PAIR, FORMATS),
+    "poset": (_cmd_poset, "print the gap poset of a coprime pair", PAIR,
+              ("dot", "json", "plain")),
+    "stats": (_cmd_stats, "statistic totals on the (m, j, n) grid", GRID,
+              FORMATS),
+    "recursions": (_cmd_recursions, "verify the convolution recursions "
+                                    "against enumeration", GRID, FORMATS),
+    "series-verify": (_cmd_series_verify, "verify the power-series identity "
+                                          "ledger",
+                      (("m", None, None), ("order", None, 12)), FORMATS),
+    "cross-check": (_cmd_cross_check, "series coefficients against "
+                                      "brute-force enumeration", GRID, FORMATS),
+}
+
+
+def _option(dest):
+    return "--" + dest.replace("_", "-")
+
+
 def build_parser():
+    """The argparse parser of `COMMANDS`, for --help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="simcores",
         description="Exact enumeration and verification for simultaneous "
                     "core partitions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, formats=("plain", "json", "csv")):
+    for name, (func, text, flags, formats) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, low, default in flags:
+            p.add_argument(_option(dest), required=default is None,
+                           default=default,
+                           type=int if low is None else _int_at_least(low))
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--unsafe-limits", action="store_true",
                        help="lift this command's guards")
-
-    def grid(p):
-        p.add_argument("--m", type=_int_at_least(1), required=True)
-        p.add_argument("--max-n", type=_int_at_least(0), required=True)
-        common(p)
-
-    p = sub.add_parser("cores", help="enumerate all cores of a coprime pair "
-                                     "and check the average-size formula")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_cores)
-
-    p = sub.add_parser("poset", help="print the gap poset of a coprime pair")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    common(p, formats=("dot", "json", "plain"))
-    p.set_defaults(func=_cmd_poset)
-
-    p = sub.add_parser("stats", help="statistic totals on the (m, j, n) grid")
-    grid(p)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("recursions", help="verify the convolution recursions "
-                                          "against enumeration")
-    grid(p)
-    p.set_defaults(func=_cmd_recursions)
-
-    p = sub.add_parser("series-verify", help="verify the power-series "
-                                             "identity ledger")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--order", type=int, default=12)
-    common(p)
-    p.set_defaults(func=_cmd_series_verify)
-
-    p = sub.add_parser("cross-check", help="series coefficients against "
-                                           "brute-force enumeration")
-    grid(p)
-    p.set_defaults(func=_cmd_cross_check)
+        p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read without
+    argparse, when argv is a subcommand followed by each of its flags once,
+    in any order, as `--flag value` or a bare `--unsafe-limits`; None for
+    any other argv, which is left to argparse: help, `--flag=value`,
+    abbreviations, a value led by "-", a missing, repeated or unknown flag
+    and a value argparse would refuse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags, formats = COMMANDS[argv[0]]
+    ints = {_option(dest): (dest, low) for dest, low, _ in flags}
+    args = SimpleNamespace(subcommand=argv[0], func=func, format=formats[0],
+                           unsafe_limits=False,
+                           **{dest: default for dest, _, default in flags})
+    tokens, seen = iter(argv[1:]), set()
+    for flag in tokens:
+        if flag in seen:
+            return None
+        seen.add(flag)
+        if flag == "--unsafe-limits":
+            args.unsafe_limits = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if flag == "--format" and value in formats:
+            args.format = value
+        elif flag in ints:
+            dest, low = ints[flag]
+            try:
+                number = int(value)
+            except ValueError:
+                return None
+            if low is not None and number < low:
+                return None
+            setattr(args, dest, number)
+        else:
+            return None
+    if any(getattr(args, dest) is None for dest, _, _ in flags):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -13,12 +13,12 @@ from itertools import groupby
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import simcores
 from oracles import canonical_order, walk_with_hook_fault
 from simcores import betaset, cli, stats
-from simcores.cli import _report, build_parser, main
+from simcores.cli import _plain_args, _report, build_parser, main
 from simcores.series import IntegralityViolationError
 
 FORMATS = ("plain", "json", "csv")
@@ -432,6 +432,144 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+# Each subcommand's --help at COLUMNS=80, recorded while the parser was
+# still written out call by call, before it was built from `cli.COMMANDS`.
+SUBCOMMAND_HELP = {
+    "cores": (
+        "usage: simcores cores [-h] --a A --b B [--format {plain,json,csv}]\n"
+        "                      [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --format {plain,json,csv}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+    "poset": (
+        "usage: simcores poset [-h] --a A --b B [--format {dot,json,plain}]\n"
+        "                      [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --format {dot,json,plain}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+    "stats": (
+        "usage: simcores stats [-h] --m M --max-n MAX_N [--format {plain,json,csv}]\n"
+        "                      [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --m M\n"
+        "  --max-n MAX_N\n"
+        "  --format {plain,json,csv}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+    "recursions": (
+        "usage: simcores recursions [-h] --m M --max-n MAX_N\n"
+        "                           [--format {plain,json,csv}] [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --m M\n"
+        "  --max-n MAX_N\n"
+        "  --format {plain,json,csv}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+    "series-verify": (
+        "usage: simcores series-verify [-h] --m M [--order ORDER]\n"
+        "                              [--format {plain,json,csv}] [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --m M\n"
+        "  --order ORDER\n"
+        "  --format {plain,json,csv}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+    "cross-check": (
+        "usage: simcores cross-check [-h] --m M --max-n MAX_N\n"
+        "                            [--format {plain,json,csv}] [--unsafe-limits]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --m M\n"
+        "  --max-n MAX_N\n"
+        "  --format {plain,json,csv}\n"
+        "  --unsafe-limits       lift this command's guards\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_HELP))
+def test_subcommand_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps --help to it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (SUBCOMMAND_HELP[command], "")
+
+
+def test_usage_error_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--m", "0", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "usage: simcores stats [-h] --m M --max-n MAX_N [--format {plain,json,csv}]\n"
+            "                      [--unsafe-limits]\n"
+            "simcores stats: error: argument --m: must be >= 1, got 0\n")
+
+
+# Words an argv is drawn from: every flag, spellings only argparse reads
+# (`--flag=value`, abbreviations, help, "--"), and values argparse converts,
+# refuses or takes for a flag.
+FLAG_WORDS = ("--a", "--b", "--m", "--max-n", "--order", "--format",
+              "--unsafe-limits", "--m=2", "--format=json", "--max", "--form",
+              "--unsafe", "-h", "--help", "--")
+VALUE_WORDS = ("3", "-3", "0", "x", "", " 4", "1_0", "plain", "json", "csv",
+               "dot", "xml")
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand (or a word that is none), most of its own flags with a
+    value each, half the time one of that flag's plausible values, bare
+    --unsafe-limits and stray words, in drawn order."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "core", "--help"]))
+    _, _, flags, formats = cli.COMMANDS.get(command, (None, None, (), FORMATS))
+    plausible = [(cli._option(dest), ("3", " 4", "1_0", "0"))
+                 for dest, _, _ in flags]
+    words = [[option, draw(st.sampled_from(values)
+                           | st.sampled_from(VALUE_WORDS))]
+             for option, values in (*plausible, ("--format", formats))
+             if draw(st.integers(0, 7))]
+    words += [["--unsafe-limits"]] * draw(st.integers(0, 2))
+    words += draw(st.lists(st.sampled_from(FLAG_WORDS + VALUE_WORDS)
+                           .map(lambda word: [word]), max_size=1))
+    return [command, *(w for group in draw(st.permutations(words)) for w in group)]
+
+
+# about one drawn argv in ten is in the plain form, so draw more than the
+# suite's 60
+@settings(max_examples=400)
+@given(cli_argv())
+def test_plain_reader_agrees_with_argparse(argv):
+    args = _plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    "", "--help", "cores --help", "cores --a 3", "stats --m 2 --max 4",
+    "cores --a=3 --b=7", "cores --a 3 --b 7 --a 3", "cores --a -3 --b 7",
+    "stats --m 0 --max-n 3", "poset --a 3 --b 7 --format csv"])
+def test_plain_reader_leaves_other_argv_to_argparse(argv):
+    assert _plain_args(argv.split()) is None
+
+
+@pytest.mark.parametrize("job", [job for job in BENCH_BASELINE if job != "--help"])
+def test_gated_jobs_take_the_plain_reader(job):
+    assert _plain_args(job.split()) is not None
+
+
 def test_byte_determinism_of_reports(capsys):
     outputs = set()
     for _ in range(2):
@@ -729,6 +867,8 @@ def test_subcommand_import_footprint(argv, modules):
         == {"simcores", *(f"simcores.{m}" for m in modules)}
     assert "dataclasses" not in loaded
     assert not loaded & {"fractions", "decimal", "numbers"}
+    # a job reads its argv without argparse; only --help builds the parser
+    assert ("argparse" in loaded) == (argv == ("--help",))
 
 
 def exit_code(argv):
