@@ -64,7 +64,7 @@ def _int_at_least(low):
 
 def _print_json(value):
     """Print `json.dumps(value, indent=2)` chunk by chunk, never whole; only
-    --format json loads `json`."""
+    the reports' and `poset`'s --format json load `json`."""
     import json
     sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(value))
     print()
@@ -104,37 +104,32 @@ def _cmd_cores(args):
             f"the listing has {count} cores of total size {total}, the "
             f"transfer counts {check.count} of total size {check.total}")
     average = _ratio(check.total, check.count)
-    # each class string, "p q r]s t" for the cores (p, q, r) and (s, t), is
-    # written with replaces that put in the format's separators: its own for
-    # "]" between cores and, in plain and JSON, the part separator for " "
+    # each format as one row: its head, which ends with class 0, the empty
+    # core alone; the `lead` before each core; the part separator `sep` for
+    # " "; the `close` after each core, filled with its class size; and its
+    # tail.  JSON is `json.dumps(..., indent=2)` by hand, as CSV is here and
+    # in `_report`: no field holds a character either would escape or quote.
+    head, lead, sep, close, tail = {
+        "plain": (f"({args.a}, {args.b})-cores: {check.count}\n"
+                  f"total size: {check.total}\naverage size: {average}\n"
+                  f"matches closed form: {'yes' if check.matches else 'no'}"
+                  "\n  []\n", "  [", ", ", "]\n", ""),
+        "json": (f'{{\n  "a": {args.a},\n  "b": {args.b},\n'
+                 f'  "count": {check.count},\n  "total_size": {check.total},\n'
+                 f'  "average": "{average}",\n'
+                 f'  "matches": {"true" if check.matches else "false"},\n'
+                 '  "cores": [\n    []', ",\n    [\n      ", ",\n      ",
+                 "\n    ]", "\n  ]\n}\n"),
+        "csv": ("parts,size\n,0\n", "", " ", ",{}\n", ""),
+    }[args.format]
     write = sys.stdout.write
-    if args.format == "json":
-        import json
-        # json.dumps(payload, indent=2), written class by class: a core is
-        # "[\n      p,\n      q\n    ]"; class 0 is the root "[]" alone
-        head = json.dumps({"a": args.a, "b": args.b, "count": check.count,
-                           "total_size": check.total, "average": average,
-                           "matches": check.matches}, indent=2)
-        write(head[:-2] + ',\n  "cores": [\n    []')
-        for _, text in classes[1:]:
-            write(",\n    [\n      " + text.replace(" ", ",\n      ")
-                  .replace("]", "\n    ],\n    [\n      ") + "\n    ]")
-        write("\n  ]\n}\n")
-    elif args.format == "csv":
-        # CSV by hand, here and in `_report`: no field holds a comma, a
-        # quote or a newline, so none needs quoting
-        write("parts,size\n")
-        for size, text in classes:
-            end = f",{size}\n"
-            write(text.replace("]", end) + end)
-    else:
-        print(f"({args.a}, {args.b})-cores: {check.count}")
-        print(f"total size: {check.total}")
-        print(f"average size: {average}")
-        print(f"matches closed form: {'yes' if check.matches else 'no'}")
-        for _, text in classes:
-            write("  [" + text.replace(" ", ", ")
-                  .replace("]", "]\n  [") + "]\n")
+    write(head)
+    # a class string, "p q r]s t" for the cores (p, q, r) and (s, t), gets
+    # the format's separators by two replaces
+    for size, text in classes[1:]:
+        end = close.format(size)
+        write(lead + text.replace(" ", sep).replace("]", end + lead) + end)
+    write(tail)
     return 0 if check.matches else 1
 
 

@@ -168,8 +168,8 @@ def verify_stat_recursions(m: int, n_max: int) -> list[RecursionCheck]:
     maps = [[series(c[k:k + w]) for k in range(0, m * w, w)]
             for c in list(zip(*grid))[3:]]
     sides = []
-    for stat, S in zip(("count", "member", "layer", "size")[:2 if m < 2 else 4],
-                       maps):
+    for stat, S in zip(("count", "member", "layer", "size"),
+                       maps if m > 1 else maps[:2]):
         for j in range(m):
             name = (f"{stat}-join" if j == 0 else
                     f"{stat}-top" if j == m - 1 and stat != "count" else

@@ -848,11 +848,14 @@ FOOTPRINTS = [
     (("series-verify", "--m", "2"), ("posets", "series", "stats")),
     (("cross-check", "--m", "2", "--max-n", "3"), ("posets", "series", "stats")),
     (("cores", "--a", "3", "--b", "7"), ("betaset", "posets", "stats")),
+    (("cores", "--a", "3", "--b", "7", "--format", "json"),
+     ("betaset", "posets", "stats")),
 ]
 
 
 @pytest.mark.parametrize("argv,modules", FOOTPRINTS,
-                         ids=[argv[0] for argv, _ in FOOTPRINTS])
+                         ids=[argv[0] + "-json" * ("json" in argv)
+                              for argv, _ in FOOTPRINTS])
 def test_subcommand_import_footprint(argv, modules):
     # runs the module as `python -m` does, then lists what the job added
     probe = ("import runpy, sys; before = set(sys.modules)\n"
@@ -867,6 +870,8 @@ def test_subcommand_import_footprint(argv, modules):
         == {"simcores", *(f"simcores.{m}" for m in modules)}
     assert "dataclasses" not in loaded
     assert not loaded & {"fractions", "decimal", "numbers"}
+    # `cores` writes its JSON by hand
+    assert "json" not in loaded
     # a job reads its argv without argparse; only --help builds the parser
     assert ("argparse" in loaded) == (argv == ("--help",))
 

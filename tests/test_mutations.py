@@ -43,8 +43,6 @@ EQUIVALENT = {
     ("compute_stats", "n_max + 2 -> n_max + 3"):
         "the extra pass, index n_max + 2, is never read: the divisor "
         "a = n + 1 if j else n is at most n_max + 1",
-    ("verify_stat_recursions", "2 if m < 2 else 4 -> 2 if m < 2 else 5"):
-        "a slice past the end of the four statistic names is all four",
 }
 
 

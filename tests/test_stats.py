@@ -291,7 +291,7 @@ def armstrong(a, b, total):
 
 def test_extended_average_size_report_mode():
     # Armstrong's formula holds for every coprime pair (Johnson,
-    # arXiv:1502.07675), not only for the slope family the paper proves;
+    # arXiv:1502.07934), not only for the slope family the paper proves;
     # Fraction is the oracle for `matches` and for the average `cores` prints
     pairs = [(a, b) for b in range(2, 61) for a in range(1, b)
              if gcd(a, b) == 1]
