@@ -13,7 +13,7 @@ identity passes only if its residual is identically zero.
 
 from collections import namedtuple
 from math import comb
-from operator import index
+from operator import index, mul
 
 from .stats import compute_stats, core_count, recursion_rhs
 
@@ -44,7 +44,9 @@ class TruncatedSeries(tuple):
     and hashes as the plain tuple of its coefficients, `len` is order + 1
     and a slice is a plain tuple.  The raw constructor checks nothing (it
     takes floats, and `()` has order -1): `series()` and `constant()` are
-    the checked constructors."""
+    the checked constructors.  Each coefficient of a product or a quotient
+    is one dot product, summed in C: with the other operand reversed, or
+    with the quotient's coefficients so far."""
 
     __slots__ = ()
 
@@ -104,14 +106,8 @@ class TruncatedSeries(tuple):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = tuple(self), tuple(other)   # subscripts specialise on exact tuples
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(out)
+        rb = other[n::-1]   # rb[n - k:] is other[k], ..., other[0]
+        return TruncatedSeries(sum(map(mul, self, rb[n - k:])) for k in range(n + 1))
 
     __rmul__ = __mul__
 
@@ -123,13 +119,9 @@ class TruncatedSeries(tuple):
         if inv0 not in (1, -1):
             raise DivisionByNonUnitError(
                 f"divisor has constant term {inv0}, not 1 or -1")
-        a, b = tuple(self), tuple(other)   # subscripts specialise on exact tuples
-        out = []
-        for k in range(min(len(a), len(b))):
-            acc = a[k]
-            for i in range(1, k + 1):
-                acc -= b[i] * out[k - i]
-            out.append(acc * inv0)
+        tail, out = other[1:], []
+        for a in self[:len(other)]:
+            out.append((a - sum(map(mul, tail, reversed(out)))) * inv0)
         return TruncatedSeries(out)
 
     def __pow__(self, e: int):

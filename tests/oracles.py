@@ -8,6 +8,9 @@ a = b - 1.  At slope two the plain poset of index n is the gap poset of
 the gap poset of (n + 1, 2n + 3).  Every part keeps its labels from the
 whole poset, so each copy is given by an explicit element map.
 
+Then the series kernel's slow side: the schoolbook product and the long
+division by a unit, as nested loops over coefficient tuples.
+
 Last, the listing walk recompiled with a planted fault, for the tests of
 the check that must catch it.
 """
@@ -191,6 +194,30 @@ def assert_isomorphism(source, target, mapping):
         f"not a bijection onto {target}"
     assert {(mapping[hi], mapping[lo]) for hi, lo in source.covers} \
         == set(target.covers), f"covers not carried onto {target}"
+
+
+def schoolbook_product(a, b):
+    """The coefficients of a * b through the shorter order: each a[i] times
+    each b[j] added into place i + j."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def unit_quotient(a, b):
+    """The coefficients of a / b through the shorter order, for b[0] = 1 or
+    -1, which is its own inverse: solve a = out * b for out[k] in turn."""
+    assert b[0] in (1, -1)
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = a[k]
+        for i in range(1, k + 1):
+            acc -= b[i] * out[k - i]
+        out.append(acc * b[0])
+    return tuple(out)
 
 
 def walk_with_hook_fault(condition):

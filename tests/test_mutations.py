@@ -249,9 +249,16 @@ def test_the_recompiled_kernel_survives(monkeypatch, kernel_reference):
     assert _kernel_survives(monkeypatch, kernel_reference, kernel)
 
 
+# Methods that must each keep a swept site however short the kernel gets;
+# a label starts with its method's name.
+KERNEL_METHODS = {"__add__", "__sub__", "__mul__", "__truediv__", "__pow__",
+                  "shift", "derivative"}
+
+
 def test_every_mutant_of_the_kernel_is_killed(monkeypatch, kernel_reference):
     mutants = dict(_mutants(series, "TruncatedSeries"))
-    assert len(mutants) >= 30
+    assert {label.split(":")[0] for label in mutants} >= KERNEL_METHODS
+    assert len(mutants) >= 24
     assert {label for label, cls in mutants.items()
             if _kernel_survives(monkeypatch, kernel_reference, cls)} == set()
 

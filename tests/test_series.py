@@ -10,8 +10,11 @@ from simcores.series import (MIN_LEDGER_ORDER, DivisionByNonUnitError,
                              stat_series)
 import simcores.series
 from simcores.stats import average_size_check, recursion_rhs
+from oracles import schoolbook_product, unit_quotient
 
 small_ints = st.integers(min_value=-30, max_value=30)
+big_coefficients = st.lists(st.integers(min_value=-2 ** 100, max_value=2 ** 100),
+                            min_size=1, max_size=31)
 
 
 def coeffs(f, upto=None):
@@ -123,6 +126,18 @@ def test_product_rule(fa, ga):
     lhs = (f * g).derivative()
     rhs = f.derivative() * g + f * g.derivative()
     assert lhs == rhs
+
+
+@given(big_coefficients, big_coefficients, st.sampled_from((1, -1)),
+       st.integers(0, 3), st.integers(0, 3))
+def test_product_and_quotient_match_the_schoolbook_oracle(fa, ga, unit, zf, zg):
+    # orders 0 ... 30, unequal ones too; up to 3 leading zeros from shift
+    f = series(fa[:31 - zf]).shift(zf)
+    g = series([unit, *ga[1:]])
+    h = series(ga[:31 - zg]).shift(zg)
+    assert f * h == schoolbook_product(f, h) == h * f
+    assert f / g == unit_quotient(f, g)
+    assert (f / g) * g == f[:len(g)]
 
 
 def test_fuss_catalan_series_values():
