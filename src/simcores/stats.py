@@ -19,33 +19,32 @@ def _path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
     An ideal is a height sequence on the runners of `abacus_runners(a, b)`,
     and the level i of a gap r_k + a*i is its layer p // a.  From the last
     runner down, for each height of the current runner the pass carries the
-    moments (count, sum s, sum s^2, sum of labels, sum of layers) of the
-    completions from it on, s being their number of members; prefix sums
-    over the next runner's heights keep it linear in the number of gaps.
-    Entry c is (ideal count, member sum, layer sum, size sum) over the
-    ideals with h_k <= c, an ideal of s members having size
-    sum(labels) - C(s, 2); the last entry is the whole poset.  With no gaps
-    there are no runners: the one entry is the empty poset's one ideal.
+    totals (count, members, layers, sizes) of the completions from it on;
+    prefix sums over the next runner's heights keep it linear in the number
+    of gaps.  Height h on runner k adds h members of layer sum y = C(h, 2)
+    and raises the size sum(labels) - C(s, 2) of a completion of s members
+    by h*r_k + (a - 1)*y - h*s.  Entry c holds these totals over the ideals
+    with h_k <= c; the last entry is the whole poset.  With no gaps there
+    are no runners: the one entry is the empty poset's one ideal.
     """
     runners = abacus_runners(a, b)
     t_next = runners[-1][0] if runners else 0
     # past the last runner, one empty completion follows every height
-    prefix = [(1, 0, 0, 0, 0)] * (t_next + 1)
+    prefix = [(1, 0, 0, 0)] * (t_next + 1)
     for t, r in reversed(runners):
         offset = t_next - t   # height h is followed by heights <= h + offset
         nxt = []
-        pc = p1 = p2 = pl = py = 0
+        pc = pm = pl = ps = 0
         for h in range(t + 1):
-            c, x1, x2, xl, xy = prefix[h + offset]
+            c, xm, xl, xs = prefix[h + offset]
             y = h * (h - 1) // 2   # layer sum of the members 0 .. h - 1
             pc += c
-            p1 += x1 + h * c
-            p2 += x2 + (2 * x1 + h * c) * h
-            pl += xl + (h * r + a * y) * c
-            py += xy + y * c
-            nxt.append((pc, p1, p2, pl, py))
+            pm += xm + h * c
+            pl += xl + y * c
+            ps += xs + (h * r + (a - 1) * y) * c - h * xm
+            nxt.append((pc, pm, pl, ps))
         prefix, t_next = nxt, t
-    return [(c, x1, xy, xl - (x2 - x1) // 2) for c, x1, x2, xl, xy in prefix]
+    return prefix
 
 
 class StatRecord(namedtuple("StatRecord", "m j n ideal_count member_sum "

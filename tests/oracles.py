@@ -9,7 +9,10 @@ the gap poset of (n + 1, 2n + 3).  Every part keeps its labels from the
 whole poset, so each copy is given by an explicit element map.
 
 Then the series kernel's slow side: the schoolbook product and the long
-division by a unit, as nested loops over coefficient tuples.
+division by a unit, as nested loops over coefficient tuples; and the
+lattice-path transfer's, which carries five moments of each completion
+(count, sum s, sum s^2, sum of labels, sum of layers) and converts them to
+the four reported totals at the end.
 
 Last, the listing walk recompiled with a planted fault, for the tests of
 the check that must catch it.
@@ -23,8 +26,8 @@ from itertools import chain
 from simcores import betaset
 from simcores.betaset import _validated_descending
 from simcores.partitions import check_partition
-from simcores.posets import (FamilyId, _closure, family_poset, gap_poset,
-                             induced_subposet)
+from simcores.posets import (FamilyId, _closure, abacus_runners,
+                             family_poset, gap_poset, induced_subposet)
 
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
@@ -218,6 +221,43 @@ def unit_quotient(a, b):
             acc -= b[i] * out[k - i]
         out.append(acc * b[0])
     return tuple(out)
+
+
+def moment_path_totals(a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Totals over the order ideals of the gap poset of (a, b), for each cap
+    c = 0 .. t_k on the first nonempty runner k, in one pass along
+    Anderson's lattice paths.
+
+    An ideal is a height sequence on the runners of `abacus_runners(a, b)`,
+    and the level i of a gap r_k + a*i is its layer p // a.  From the last
+    runner down, for each height of the current runner the pass carries the
+    moments (count, sum s, sum s^2, sum of labels, sum of layers) of the
+    completions from it on, s being their number of members; prefix sums
+    over the next runner's heights keep it linear in the number of gaps.
+    Entry c is (ideal count, member sum, layer sum, size sum) over the
+    ideals with h_k <= c, an ideal of s members having size
+    sum(labels) - C(s, 2); the last entry is the whole poset.  With no gaps
+    there are no runners: the one entry is the empty poset's one ideal.
+    """
+    runners = abacus_runners(a, b)
+    t_next = runners[-1][0] if runners else 0
+    # past the last runner, one empty completion follows every height
+    prefix = [(1, 0, 0, 0, 0)] * (t_next + 1)
+    for t, r in reversed(runners):
+        offset = t_next - t   # height h is followed by heights <= h + offset
+        nxt = []
+        pc = p1 = p2 = pl = py = 0
+        for h in range(t + 1):
+            c, x1, x2, xl, xy = prefix[h + offset]
+            y = h * (h - 1) // 2   # layer sum of the members 0 .. h - 1
+            pc += c
+            p1 += x1 + h * c
+            p2 += x2 + (2 * x1 + h * c) * h
+            pl += xl + (h * r + a * y) * c
+            py += xy + y * c
+            nxt.append((pc, p1, p2, pl, py))
+        prefix, t_next = nxt, t
+    return [(c, x1, xy, xl - (x2 - x1) // 2) for c, x1, x2, xl, xy in prefix]
 
 
 def walk_with_hook_fault(condition):

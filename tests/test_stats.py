@@ -16,6 +16,7 @@ from simcores.cli import EnumerationTooLargeError
 from simcores.stats import (StatRecord, _path_totals, average_size_check,
                             compute_stats, core_count, recursion_rhs,
                             verify_stat_recursions)
+from oracles import moment_path_totals
 
 
 def brute_stats(family):
@@ -93,6 +94,19 @@ def test_path_totals_against_enumeration_on_the_guarded_grid():
         count, _, total = _ideal_totals(gap_poset(a, b))
         chk = average_size_check(a, b)
         assert (chk.count, chk.total) == (count, total), (a, b)
+
+
+def test_path_totals_match_the_moment_transfer_past_enumeration():
+    # members and layers have no other check off the slope family, and
+    # enumeration stops at a few dozen gaps; the five-moment transfer does not
+    pairs = [(a, b) for b in range(1, 61) for a in range(b) if gcd(a, b) == 1]
+    pairs += [(b, a) for a, b in pairs if a and b <= 30]   # empty runners
+    pairs += [(99, 1000), (200, 201)]
+    pairs += [(a, 6 * a + 1) for a in range(42)]
+    pairs += [(a, 40 * a + 1) for a in range(12)]
+    assert len(pairs) == 1435
+    for a, b in pairs:
+        assert _path_totals(a, b) == moment_path_totals(a, b), (a, b)
 
 
 def test_guard_size_is_family_size(monkeypatch):
@@ -301,6 +315,7 @@ def test_extended_average_size_report_mode():
     assert mismatches == []
     for (a, b), chk in zip(pairs, checks):
         assert chk.matches == armstrong(a, b, chk.total), (a, b)
+        assert chk.count == core_count(a, b), (a, b)
         assert cli._ratio(chk.total, chk.count) \
             == str(Fraction(chk.total, chk.count)), (a, b)
 
