@@ -6,7 +6,12 @@ arithmetic check (an `ArithmeticError` such as `IntegralityViolationError`:
 an `error:` line on stderr instead of a report), 2 for usage errors, for a
 job over a guard (a closed form of the command's arguments, checked before
 any work and lifted by `--unsafe-limits`) and when stdout is closed before
-the report is written (`simcores ... | head`).
+the report is written (`simcores ... | head`).  A usage or guard error
+writes nothing to stdout.  `cores` writes its listing class by class, so
+when it exits 1 on its `error:` line stdout keeps what came before the
+fault, and never the tail: the head and the classes below that of the
+first core failing its hook-set check, or every class when the count or
+total size disagrees with the transfer.
 
 Each subcommand imports the library modules it runs when it runs, so a job
 loads only those, and `--help` none.  A job written in the plain form (see
@@ -91,18 +96,9 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    # the listing and the lattice-path transfer are independent routes; each
-    # class is held as one string, its texts joined by "]", so a core's own
-    # string is freed once its class is joined
-    classes, count, total = [], 0, 0
-    for size, texts in cores_by_size(args.a, args.b):
-        count += len(texts)
-        total += size * len(texts)
-        classes.append((size, "]".join(texts)))
-    if (count, total) != (check.count, check.total):
-        raise ArithmeticError(
-            f"the listing has {count} cores of total size {total}, the "
-            f"transfer counts {check.count} of total size {check.total}")
+    # the call checks the pair before any byte is written; the walk runs as
+    # the loop below takes its classes
+    walk = cores_by_size(args.a, args.b)
     average = _ratio(check.total, check.count)
     # each format as one row: its head, which ends with class 0, the empty
     # core alone; the `lead` before each core; the part separator `sep` for
@@ -124,11 +120,24 @@ def _cmd_cores(args):
     }[args.format]
     write = sys.stdout.write
     write(head)
-    # a class string, "p q r]s t" for the cores (p, q, r) and (s, t), gets
-    # the format's separators by two replaces
-    for size, text in classes[1:]:
-        end = close.format(size)
-        write(lead + text.replace(" ", sep).replace("]", end + lead) + end)
+    # each class is written as the walk yields it and then dropped, as one
+    # string, its texts joined by "]", which no text holds: "p q r]s t" for
+    # the cores (p, q, r) and (s, t) gets the format's separators by two
+    # replaces.  A core failing its hook-set check stops the walk before its
+    # class is written; the count and total, a route independent of the
+    # transfer, are held to it after the last class, so a failed listing
+    # has no tail.
+    count = total = 0
+    for size, texts in walk:
+        count += len(texts)
+        total += size * len(texts)
+        if size:
+            text, end = "]".join(texts), close.format(size)
+            write(lead + text.replace(" ", sep).replace("]", end + lead) + end)
+    if (count, total) != (check.count, check.total):
+        raise ArithmeticError(
+            f"the listing has {count} cores of total size {total}, the "
+            f"transfer counts {check.count} of total size {check.total}")
     write(tail)
     return 0 if check.matches else 1
 

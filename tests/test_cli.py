@@ -611,34 +611,60 @@ def test_cores_larger_generator_first(capsys, fmt):
     assert lines[header_lines:] == swapped_lines[header_lines:]
 
 
+def listed_cores(a, b):
+    """Every (a, b)-core as a tuple of parts, in the order `cores` lists."""
+    return [tuple(map(int, text.split()))
+            for _, texts in betaset.cores_by_size(a, b) for text in texts]
+
+
+def assert_failed_listing(out, a, b, cores, fmt):
+    """`out` is the stdout of a `cores` run that failed after writing
+    `cores`, a listing in canonical order: the head and their classes, with
+    no tail, so failed JSON does not parse."""
+    full = render_listing(a, b, cores, fmt)
+    tail = "\n  ]\n}\n" if fmt == "json" else ""
+    assert full.endswith(tail)
+    assert out == full[:len(full) - len(tail)]
+    if fmt == "json":
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+
 def test_cores_listing_disagreeing_with_transfer_exits_1(capsys, monkeypatch):
-    # the listing and the lattice-path totals check each other before output
+    # the listing and the lattice-path totals check each other; the count
+    # and total are known only after the last class, so every class is
+    # written as listed, less the dropped core, and the tail is not
     real = betaset.cores_by_size
 
     def one_dropped(a, b):
-        classes = list(real(a, b))
-        _, texts = max(classes, key=lambda cls: len(cls[1]))
-        texts.pop()
-        return classes
+        # the walk less the core (1, 1), of size 2
+        for size, texts in real(a, b):
+            yield size, [text for text in texts if text != "1 1"]
 
+    cores = [core for core in listed_cores(3, 7) if core != (1, 1)]
     monkeypatch.setattr(betaset, "cores_by_size", one_dropped)
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
                              "--format", fmt)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "11 cores" in err and "12" in err
-        assert "Traceback" not in err
+        assert code == 1
+        assert_failed_listing(out, 3, 7, cores, fmt)
+        assert err == ("error: the listing has 11 cores of total size 64, "
+                       "the transfer counts 12 of total size 66\n")
 
 
 def test_cores_filed_under_a_wrong_size_exit_1(capsys, monkeypatch):
     # the walk keeps a kept-gap sum 1 too large from the second part on:
     # every text, the count and the total still match the transfer, so only
-    # the walk's check of each core against its hook set can see it
+    # the walk's check of each core against its hook set can see it.  It
+    # stops the walk in class 2: the classes below it are written, class 2
+    # and the tail are not
+    cores = [core for core in listed_cores(3, 7) if sum(core) < 2]
     monkeypatch.setattr(betaset, "cores_by_size", walk_with_hook_fault("count > 0"))
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "7",
                              "--format", fmt)
-        assert (code, out) == (1, "")
+        assert code == 1
+        assert_failed_listing(out, 3, 7, cores, fmt)
         assert err == "error: a core listed under size 2 has a hook set of size 3\n"
 
 
@@ -711,36 +737,57 @@ def test_cores_filed_under_a_wrong_size_past_latin1_exit_1(capsys, monkeypatch):
     # with 256 gaps or more parts run past one byte: the kept-gap sum is 1
     # too large for each core made with a part above 255, so the first core
     # wrong is in the first class with such a part, which mixes both kinds,
-    # and only the walk's check of each core can see it
+    # and only the walk's check of each core can see it.  Every class below
+    # that one is written before the walk stops
     classes = list(betaset.cores_by_size(3, 301))
     first = next(size for size, texts in classes
                  if any(int(text.split()[0]) > 255 for text in texts if text))
     assert first == mixed_kind_classes(classes)[0][0] == 18_892
+    cores = [tuple(map(int, text.split()))
+             for size, texts in classes if size < first for text in texts]
     monkeypatch.setattr(betaset, "cores_by_size",
                         walk_with_hook_fault("gap - count > 255"))
     for fmt in FORMATS:
         code, out, err = run(capsys, "cores", "--a", "3", "--b", "301",
                              "--format", fmt)
-        assert (code, out) == (1, "")
+        assert code == 1
+        assert_failed_listing(out, 3, 301, cores, fmt)
         assert err == (f"error: a core listed under size {first} has a hook "
                        f"set of size {first + 1}\n")
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_cores_listing_is_held_compactly(fmt):
-    # the listing waits in memory until both checks pass, one string per
-    # size class: the traced peak, output aside, stays under 80 bytes per
-    # core (one string per core takes about 100)
-    count = stats.core_count(9, 13)
-    assert count == 22_610
+def traced_peak(argv):
+    """The tracemalloc peak, in bytes, of `main(argv)` writing to devnull;
+    the job must pass."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            assert main(["cores", "--a", "9", "--b", "13", "--format", fmt]) == 0
+            assert main(argv) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cores_listing_is_held_compactly(fmt):
+    # the walk holds the cores of the classes it has not yet yielded, each
+    # with its own string, and the class being written is one string more:
+    # the traced peak, output aside, stays under 80 bytes per core (holding
+    # every core's own string to the end would take about 100)
+    count = stats.core_count(9, 13)
+    assert count == 22_610
+    peak = traced_peak(["cores", "--a", "9", "--b", "13", "--format", fmt])
     assert peak < 80 * count, peak / count
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cores_memory_does_not_grow_with_the_listing(fmt):
+    # (3, 301) lists 15,251 cores in 6-20 MB of output; written class by
+    # class, its traced peak is a fraction of one megabyte, while holding
+    # the listing until its checks pass takes about 7 MB
+    peak = traced_peak(["cores", "--a", "3", "--b", "301", "--format", fmt])
+    assert peak < 1_000_000, peak
 
 
 def test_cores_mismatch_exits_1(capsys, monkeypatch):
@@ -761,16 +808,10 @@ def source_env():
     return env
 
 
-@pytest.mark.parametrize("job", [
-    ("cores", "--a", "2", "--b", "4999", "--format", "json"),
-    ("cores", "--a", "1000000", "--b", "1", "--format", "json"),
-    ("poset", "--a", "1000000", "--b", "1"),
-], ids=["cores-2-4999", "cores-1000000-1", "poset-1000000-1"])
-def test_cores_worst_admitted_job_stays_under_64_mb(job):
-    # (2, 4999) is the largest listing both guards admit: 35 MB of JSON.
-    # (a, 1) has no gaps at any a, so its work must not grow with a.  A
-    # child's max-RSS starts at its spawner's RSS, so a bare interpreter
-    # spawns it, not this process.
+def max_rss_kib(job):
+    """The exit code and max-RSS in KiB of `python -m simcores.cli *job`,
+    its stdout sent to devnull.  A child's max-RSS starts at its spawner's
+    RSS, so a bare interpreter spawns it, not this process."""
     spawner = ("import os, sys\n"
                "out = os.open(os.devnull, os.O_WRONLY)\n"
                "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], "
@@ -779,25 +820,45 @@ def test_cores_worst_admitted_job_stays_under_64_mb(job):
                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
     proc = subprocess.run([sys.executable, "-S", "-c", spawner, "-m", "simcores.cli", *job],
                           capture_output=True, text=True, env=source_env(), check=True)
-    code, max_rss_kib = map(int, proc.stdout.split())
+    return tuple(map(int, proc.stdout.split()))
+
+
+@pytest.mark.parametrize("job", [
+    ("cores", "--a", "2", "--b", "4999", "--format", "json"),
+    ("cores", "--a", "1000000", "--b", "1", "--format", "json"),
+    ("poset", "--a", "1000000", "--b", "1"),
+], ids=["cores-2-4999", "cores-1000000-1", "poset-1000000-1"])
+def test_cores_worst_admitted_job_stays_under_64_mb(job):
+    # (2, 4999) is the largest listing both guards admit: 35 MB of JSON,
+    # written class by class, so it takes less than 6 MB more than the
+    # one-core job (1, 1); holding the listing would take about 12 MB more.
+    # (a, 1) has no gaps at any a, so its work must not grow with a.
+    code, max_rss = max_rss_kib(job)
     assert code == 0
-    assert max_rss_kib < 64 * 1024
+    assert max_rss < 64 * 1024
+    floor_code, floor = max_rss_kib(("cores", "--a", "1", "--b", "1"))
+    assert floor_code == 0
+    assert max_rss - floor < 6 * 1024, (max_rss, floor)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_closed_stdout_exits_2_without_traceback(fmt):
-    # 150-630 KB of output, far more than a pipe buffers
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "simcores.cli", "cores", "--a", "9", "--b", "10",
-         "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
-    assert proc.stdout.readline() == {"plain": b"(9, 10)-cores: 4862\n",
-                                      "json": b"{\n", "csv": b"parts,size\n"}[fmt]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert b"Traceback" not in err
+    # 150-630 KB and 6-20 MB of output, far more than a pipe buffers; the
+    # listing is written in the walk's loop, so the closed pipe is found
+    # there, mid-walk
+    for a, b, count in [(9, 10, 4862), (3, 301, 15251)]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "simcores.cli", "cores", "--a", str(a),
+             "--b", str(b), "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+        assert proc.stdout.readline() == {
+            "plain": f"({a}, {b})-cores: {count}\n".encode(), "json": b"{\n",
+            "csv": b"parts,size\n"}[fmt]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
 
 
 def test_closed_stdout_leaks_no_descriptor(monkeypatch):
