@@ -42,14 +42,16 @@ def ideal_to_partition(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(h - (r - 1 - i) for i, h in enumerate(hooks))
 
 
-def cores_by_size(a: int, b: int) -> Iterator[tuple[int, list[str]]]:
+def cores_by_size(a: int, b: int,
+                  sep: str = " ") -> Iterator[tuple[int, list[str]]]:
     """Every simultaneous (a, b)-core, as an iterator of size classes
     (size, texts) in ascending size, each class in canonical order
-    (descending parts).  A text is a core's parts in decimal separated by
-    spaces.  The pair is checked and its gap poset built at the call; the
-    walk runs as the classes are taken.  Each core is filed under the sum
-    of its parts and checked, as its class is taken and before the class is
-    yielded, against its size read off its hook set, its kept-gap sum less
+    (descending parts).  A text is a core's parts in decimal joined by
+    `sep`, so a writer can have each core filed in its own format.  The
+    pair is checked and its gap poset built at the call; the walk runs as
+    the classes are taken.  Each core is filed under the sum of its parts
+    and checked, as its class is taken and before the class is yielded,
+    against its size read off its hook set, its kept-gap sum less
     C(count, 2): the two routes must agree, or ArithmeticError.
 
     Removing the largest part of a core leaves a core, its parent, whose
@@ -80,7 +82,7 @@ def cores_by_size(a: int, b: int) -> Iterator[tuple[int, list[str]]]:
     # every part is at most the gap count: the core of every gap has that
     # largest part and contains every other core (Vandehey)
     digits = list(map(str, range(len(gaps) + 1)))
-    words = [f"{part} " for part in digits]
+    words = [f"{part}{sep}" for part in digits]
 
     def walk():
         # size -> the cores of that size, each a tuple

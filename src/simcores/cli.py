@@ -96,44 +96,50 @@ def _cmd_cores(args):
     _guard(args, gaps * core_count(args.a, args.b), MAX_LISTED_PARTS,
            f"the part count of the ({args.a}, {args.b})-core listing")
     check = average_size_check(args.a, args.b)
-    # the call checks the pair before any byte is written; the walk runs as
-    # the loop below takes its classes
-    walk = cores_by_size(args.a, args.b)
     average = _ratio(check.total, check.count)
     # each format as one row: its head, which ends with class 0, the empty
-    # core alone; the `lead` before each core; the part separator `sep` for
-    # " "; the `close` after each core, filled with its class size; and its
-    # tail.  JSON is `json.dumps(..., indent=2)` by hand, as CSV is here and
-    # in `_report`: no field holds a character either would escape or quote.
-    head, lead, sep, close, tail = {
+    # core alone; the `lead` before each core; the part separator `sep`; the
+    # separator `held` that the walk files each core's text with; the
+    # `close` after each core, filled with its class size; and its tail.
+    # JSON is `json.dumps(..., indent=2)` by hand, as CSV is here and in
+    # `_report`: no field holds a character either would escape or quote.
+    head, lead, sep, held, close, tail = {
         "plain": (f"({args.a}, {args.b})-cores: {check.count}\n"
                   f"total size: {check.total}\naverage size: {average}\n"
                   f"matches closed form: {'yes' if check.matches else 'no'}"
-                  "\n  []\n", "  [", ", ", "]\n", ""),
+                  "\n  []\n", "  [", ", ", ", ", "]\n", ""),
         "json": (f'{{\n  "a": {args.a},\n  "b": {args.b},\n'
                  f'  "count": {check.count},\n  "total_size": {check.total},\n'
                  f'  "average": "{average}",\n'
                  f'  "matches": {"true" if check.matches else "false"},\n'
-                 '  "cores": [\n    []', ",\n    [\n      ", ",\n      ",
+                 '  "cores": [\n    []', ",\n    [\n      ", ",\n      ", "|",
                  "\n    ]", "\n  ]\n}\n"),
-        "csv": ("parts,size\n,0\n", "", " ", ",{}\n", ""),
+        "csv": ("parts,size\n,0\n", "", " ", " ", ",{}\n", ""),
     }[args.format]
+    # the call checks the pair before any byte is written; the walk runs as
+    # the loop below takes its classes
+    walk = cores_by_size(args.a, args.b, held)
     write = sys.stdout.write
     write(head)
-    # each class is written as the walk yields it and then dropped, as one
-    # string, its texts joined by "]", which no text holds: "p q r]s t" for
-    # the cores (p, q, r) and (s, t) gets the format's separators by two
-    # replaces.  A core failing its hook-set check stops the walk before its
-    # class is written; the count and total, a route independent of the
-    # transfer, are held to it after the last class, so a failed listing
-    # has no tail.
+    # each class is written as the walk yields it and then dropped: its
+    # texts joined by the close and lead between two cores, in three writes.
+    # Plain and CSV texts hold their own `sep`, so the `replace` returns its
+    # argument without a pass (`held is sep`).  JSON's separator is 8
+    # characters, which would lengthen every text the walk holds, so its
+    # texts hold "|", which no row field and no digit contains, and one
+    # pass a class fills in the separator.  A core failing its hook-set
+    # check stops the walk before its class is written; the count and
+    # total, a route independent of the transfer, are held to it after the
+    # last class, so a failed listing has no tail.
     count = total = 0
     for size, texts in walk:
         count += len(texts)
         total += size * len(texts)
         if size:
-            text, end = "]".join(texts), close.format(size)
-            write(lead + text.replace(" ", sep).replace("]", end + lead) + end)
+            end = close.format(size)
+            write(lead)
+            write((end + lead).join(texts).replace(held, sep))
+            write(end)
     if (count, total) != (check.count, check.total):
         raise ArithmeticError(
             f"the listing has {count} cores of total size {total}, the "
